@@ -153,13 +153,16 @@ def abelianise(a: CrossedElt, graph) -> ModuleElt:
 
 def apply_map(graph, mapping: dict, m: ModuleElt) -> ModuleElt:
     """Apply the ZG-linear map sending basis symbol b to mapping[b]."""
-    out = ZERO_MODULE
+    out: dict[str, dict[int, int]] = {}
     for sym, c in m.items():
         image = mapping[sym]
-        for g, n in c.items():
-            out = out + ModuleElt(
-                {s: d.translated(graph, g).scaled(n) for s, d in image.coords.items()})
-    return out
+        for g, n in c.coeffs.items():
+            for s, d in image.coords.items():
+                row = out.setdefault(s, {})
+                for h, e in d.coeffs.items():
+                    k = graph.mult(h, g)
+                    row[k] = row.get(k, 0) + n * e
+    return ModuleElt({s: GroupRingElt(row) for s, row in out.items()})
 
 
 class BasedCrossedElt(NamedTuple):

@@ -161,9 +161,11 @@ class CayleyGraph:
 
     fwd[g][k] / bwd[g][k] give g.phi(x_k) and g.phi(x_k)^-1; word_rep[g] is
     the breadth-first shortlex positive word for g (word_rep[0] is empty).
+    _right[b], once filled by mult, is the column h -> h.b.
     """
 
-    __slots__ = ("presentation", "gens", "order", "fwd", "bwd", "word_rep", "_inv")
+    __slots__ = ("presentation", "gens", "order", "fwd", "bwd", "word_rep", "_inv",
+                 "_right")
 
     def __init__(self, presentation, fwd):
         self.presentation = presentation
@@ -181,6 +183,7 @@ class CayleyGraph:
         for g in range(n):
             inv[g] = self.eval_word(self.word_rep[g].inv())
         self._inv = inv
+        self._right = [None] * n
 
     def _bfs_words(self):
         reps: list = [None] * self.order
@@ -218,7 +221,11 @@ class CayleyGraph:
         return self.apply(0, self.gen_index(name), sign)
 
     def mult(self, a: int, b: int) -> int:
-        return self.eval_word(self.word_rep[b], a)
+        col = self._right[b]
+        if col is None:
+            rep = self.word_rep[b]
+            col = self._right[b] = [self.eval_word(rep, h) for h in range(self.order)]
+        return col[a]
 
     def inv_elt(self, g: int) -> int:
         return self._inv[g]

@@ -33,8 +33,8 @@ from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .logged_rewriter import H1Table, h1_eval
 from .words import GroupRingElt, Word, fox_derivative, parse_word
-from .zg_lattice import IntSpan, OrbitLattice, expand, kernel_lattice, \
-    member_solve, span_of_orbit
+from .zg_lattice import IntSpan, Lattice, OrbitLattice, expand, kernel_lattice, \
+    map_rows, member_solve
 
 SCHEMA = "crossres-state/1"
 
@@ -359,8 +359,9 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     levels = sorted(state.levels)
     for n in levels:
         level = state.levels[n]
-        forms = [level.boundary[sym] for sym, _ in level.basis]
-        image = span_of_orbit(graph, level.codomain, forms)
+        image = Lattice(len(level.codomain) * graph.order,
+                        map_rows(graph, [s for s, _ in level.basis],
+                                 level.codomain, level.boundary))
         if n == 3:
             kern = kernel_lattice(graph, list(pres.relator_names()),
                                   list(pres.generators), fox)

@@ -147,19 +147,12 @@ class OrbitLattice(Lattice):
     certificate reduction."""
 
     __slots__ = ("graph", "basis", "gens", "expr_rows", "kernel_rows",
-                 "kernel_pivots", "_translates")
+                 "kernel_pivots", "_supports")
 
     def __init__(self, graph, basis, gens):
         n = graph.order
-        inputs = []
-        translates = []
-        for m in gens:
-            per_gen = []
-            for g in range(n):
-                t = m.translated(graph, g)
-                per_gen.append(t)
-                inputs.append(expand(graph, basis, t))
-            translates.append(per_gen)
+        inputs = [expand(graph, basis, m.translated(graph, g))
+                  for m in gens for g in range(n)]
         ambient = len(basis) * n
         rows = [list(r) for r in inputs]
         mirror = [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))]
@@ -175,39 +168,47 @@ class OrbitLattice(Lattice):
         kernel = [list(r) for r in mirror[rank:]]
         self.kernel_pivots = tuple(_hnf_in_place(kernel, len(inputs)))
         self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
-        self._translates = translates
+        # each input row as its sparse support [(position, value)]
+        self._supports = [[(p, v) for p, v in enumerate(row) if v] for row in inputs]
 
 
 def span_of_orbit(graph, basis, gens) -> OrbitLattice:
     return OrbitLattice(graph, basis, gens)
 
 
-def _l1(m: ModuleElt) -> int:
-    return sum(abs(c) for _, zg in m.items() for _, c in zg.items())
-
-
-def _greedy_certificate(lat: OrbitLattice, target: ModuleElt):
-    """Peel the target by repeatedly subtracting the signed generator
-    translate that most decreases the L1 norm (ties broken by +1 before
-    -1, then element index, then generator position).  Returns
-    coefficient dicts on reaching zero, None on stalling."""
+def _greedy_certificate(lat: OrbitLattice, vec):
+    """Peel the expanded target `vec` by repeatedly subtracting the signed
+    generator translate that most decreases the L1 norm (ties broken by
+    +1 before -1, then element index, then generator position).  Each
+    move is scored by its exact L1 change over the translate's support
+    and applied to the residual in place.  Returns coefficient dicts on
+    reaching zero, None on stalling."""
     n = lat.graph.order
     cert = [dict() for _ in lat.gens]
-    rem = target
-    size = _l1(rem)
+    rem = list(vec)
+    size = sum(abs(a) for a in rem)
+    supports = lat._supports
     while size:
         best = None
-        for j, per_gen in enumerate(lat._translates):
-            for g in range(n):
-                tr = per_gen[g]
-                for s in (1, -1):
-                    new = rem - tr if s == 1 else rem + tr
-                    key = (_l1(new), 0 if s == 1 else 1, g, j)
-                    if key[0] < size and (best is None or key < best[0]):
-                        best = (key, s, new)
+        for i, support in enumerate(supports):
+            down = up = 0
+            for p, v in support:
+                r = rem[p]
+                a = abs(r)
+                down += abs(r - v) - a
+                up += abs(r + v) - a
+            if down < 0 or up < 0:
+                j, g = divmod(i, n)
+                for delta, flag in ((down, 0), (up, 1)):
+                    key = (size + delta, flag, g, j)
+                    if delta < 0 and (best is None or key < best):
+                        best = key
         if best is None:
             return None
-        (size, _, g, j), s, rem = best
+        size, flag, g, j = best
+        s = -1 if flag else 1
+        for p, v in supports[j * n + g]:
+            rem[p] -= s * v
         cert[j][g] = cert[j].get(g, 0) + s
     return cert
 
@@ -226,7 +227,7 @@ def member_solve(lat: OrbitLattice, target: ModuleElt):
     coeffs = lat.solve(vec)
     if coeffs is None:
         return None
-    greedy = _greedy_certificate(lat, target)
+    greedy = _greedy_certificate(lat, vec)
     if greedy is not None:
         return [GroupRingElt(d) for d in greedy]
     n_inputs = len(lat.gens) * lat.graph.order

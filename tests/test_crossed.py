@@ -119,3 +119,34 @@ def test_apply_map_is_linear(s3_graph):
     for g in range(6):
         assert apply_map(s3_graph, mapping, a.translated(s3_graph, g)) \
             == apply_map(s3_graph, mapping, a).translated(s3_graph, g)
+
+
+def apply_map_reference(graph, mapping, m):
+    """apply_map as one immutable ModuleElt sum per coefficient."""
+    out = ZERO_MODULE
+    for sym, c in m.items():
+        image = mapping[sym]
+        for g, n in c.items():
+            out = out + ModuleElt(
+                {s: d.translated(graph, g).scaled(n) for s, d in image.coords.items()})
+    return out
+
+
+def module_elts(basis):
+    rings = st.dictionaries(st.integers(0, 5), st.sampled_from([1, -1, 2, -2]),
+                            max_size=4)
+    return st.dictionaries(st.sampled_from(basis), rings, max_size=len(basis)).map(
+        lambda d: ModuleElt({s: GroupRingElt(r) for s, r in d.items()}))
+
+
+@given(module_elts(["u", "v"]), module_elts(["u", "v"]), module_elts(["r", "s"]),
+       st.integers(0, 5), st.booleans())
+def test_apply_map_matches_immutable_sum(s3_graph, image_r, image_s, m, g, cancel):
+    if cancel:
+        # s maps to -(r's image).g, so r.g' and s.g'' terms can cancel
+        image_s = -image_r.translated(s3_graph, g)
+        m = m + unit("r", 0) + unit("s", s3_graph.inv_elt(g))
+    mapping = {"r": image_r, "s": image_s}
+    got = apply_map(s3_graph, mapping, m)
+    assert got == apply_map_reference(s3_graph, mapping, m)
+    assert all(ring and all(ring.coeffs.values()) for _, ring in got.items())

@@ -4,7 +4,7 @@ from crossres import (CayleyGraph, Contraction0, EnumerationOverflow,
                       GroupRingElt, MaximalTree, Presentation,
                       PresentationError, TableError, TreeError, bfs_tree,
                       enumerate_presentation, load_table, parse_word,
-                      render_zg, tree_from_file, word)
+                      parse_presentation, render_zg, tree_from_file, word)
 from conftest import data_path
 
 
@@ -56,6 +56,19 @@ class TestEnumeration:
         assert s3_graph.apply(0, s3_graph.gen_index("x"), 1) == 1
         assert s3_graph.letter_elt("y", -1) == s3_graph.inv_elt(3)
         assert s3_graph.elt_by_name("x y") == 4
+
+    @pytest.mark.parametrize("name", ["s3.pres", "q8.pres", "c4.pres"])
+    def test_mult_matches_its_definition(self, name):
+        # a fresh graph, so every right-multiplication column starts empty
+        with open(data_path(name)) as fh:
+            graph = enumerate_presentation(parse_presentation(fh.read(), name))
+        n = graph.order
+        for b in range(n):
+            want = [graph.eval_word(graph.word_rep[b], a) for a in range(n)]
+            assert graph._right[b] is None
+            assert [graph.mult(a, b) for a in range(n)] == want
+            assert graph._right[b] is not None
+            assert [graph.mult(a, b) for a in range(n)] == want
 
     def test_relators_act_trivially(self, s3_graph, s3_presentation):
         for _, w in s3_presentation.relators:

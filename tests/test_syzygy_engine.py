@@ -1,14 +1,16 @@
+import hashlib
+
 import pytest
 
-from crossres import (GroupRingElt, ModuleElt, abelianise, apply_map,
+from crossres import (GroupRingElt, ModuleElt, RunConfig, abelianise, apply_map,
                       boundary2, build_state, compute_delta3, export_json,
                       extend_resolution, fox_matrix_map, homotopy_eval,
                       import_json, kernel_lattice, level3_candidates,
                       order_candidates, parse_word, reduce_level,
                       render_crossed, render_tables, span_of_orbit, unit,
-                      verify_state)
+                      verify_state, zg_lattice)
 from crossres.syzygy_engine import ResolutionState
-from conftest import s3_config
+from conftest import data_path, s3_config
 
 
 def fresh_state(**kw):
@@ -193,3 +195,24 @@ def test_exactness_of_deeper_levels():
         kern = kernel_lattice(graph, [s for s, _ in lo.basis],
                               lo.codomain, lo.boundary)
         assert image == kern
+
+
+def test_q8_full_build_is_frozen(monkeypatch):
+    """One whole build with CLI defaults to level 5, pinned byte for byte.
+    Q8 reaches both certificate sources: the greedy peel and, where it
+    stalls, the HNF solution reduced modulo the relation lattice."""
+    sources = {"greedy": 0, "hnf": 0}
+    greedy = zg_lattice._greedy_certificate
+
+    def counted(*args):
+        cert = greedy(*args)
+        sources["greedy" if cert is not None else "hnf"] += 1
+        return cert
+
+    monkeypatch.setattr(zg_lattice, "_greedy_certificate", counted)
+    state = build_state(RunConfig(presentation=data_path("q8.pres"),
+                                  max_level=5))
+    assert sources == {"greedy": 61, "hnf": 21}
+    digest = hashlib.sha256(export_json(state).encode()).hexdigest()
+    assert digest == ("9e9121b0c850e5e1f0523c834cc62a21"
+                      "e77cff4747cc4c128040c7f3a3b17efb")

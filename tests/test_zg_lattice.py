@@ -8,7 +8,7 @@ from crossres import (GroupRingElt, Lattice, ModuleElt, OrbitLattice,
                       fox_matrix_map, kernel_lattice, lattice_equal,
                       member_solve, span_of_orbit, unexpand, unit, word,
                       Presentation)
-from crossres.zg_lattice import IntSpan
+from crossres.zg_lattice import IntSpan, _greedy_certificate
 
 
 def test_expand_unexpand_round_trip(s3_graph):
@@ -129,3 +129,59 @@ def test_kernel_lattice_cyclic():
     # N(4) has one relation: (t - 1) . N(4) = 0
     want = span_of_orbit(graph, ["r"], [unit("r", 1) - unit("r", 0)])
     assert kern == want
+
+
+def _l1(m: ModuleElt) -> int:
+    return sum(abs(c) for _, zg in m.items() for _, c in zg.items())
+
+
+def greedy_certificate_reference(lat: OrbitLattice, target: ModuleElt):
+    """The greedy peel on immutable ModuleElts, recomputing the full L1
+    norm of every trial residual."""
+    n = lat.graph.order
+    translates = [[m.translated(lat.graph, g) for g in range(n)] for m in lat.gens]
+    cert = [dict() for _ in lat.gens]
+    rem = target
+    size = _l1(rem)
+    while size:
+        best = None
+        for j, per_gen in enumerate(translates):
+            for g in range(n):
+                tr = per_gen[g]
+                for s in (1, -1):
+                    new = rem - tr if s == 1 else rem + tr
+                    key = (_l1(new), 0 if s == 1 else 1, g, j)
+                    if key[0] < size and (best is None or key < best[0]):
+                        best = (key, s, new)
+        if best is None:
+            return None
+        (size, _, g, j), s, rem = best
+        cert[j][g] = cert[j].get(g, 0) + s
+    return cert
+
+
+small = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2])
+s3_vectors = st.lists(small, min_size=12, max_size=12)
+
+
+@settings(deadline=None)
+@given(st.lists(s3_vectors, min_size=1, max_size=2), st.none() | st.integers(0, 5),
+       st.lists(small, min_size=18, max_size=18), s3_vectors, st.booleans())
+def test_greedy_matches_reference(s3_graph, gen_vecs, twin, coeffs, arbitrary,
+                                  combine):
+    basis = ["r", "s"]
+    gens = [unexpand(s3_graph, basis, v) for v in gen_vecs]
+    if twin is not None:
+        # a translate of the first generator ties with it move for move,
+        # so the element and generator tie-breaks decide
+        gens.append(gens[0].translated(s3_graph, twin))
+    lat = OrbitLattice(s3_graph, basis, gens)
+    vec = arbitrary
+    if combine:
+        # a small integer combination of the generator translates
+        vec = [0] * 12
+        for i, c in enumerate(coeffs[:6 * len(gens)]):
+            row = expand(s3_graph, basis, gens[i // 6].translated(s3_graph, i % 6))
+            vec = [a + c * b for a, b in zip(vec, row)]
+    target = unexpand(s3_graph, basis, vec)
+    assert _greedy_certificate(lat, vec) == greedy_certificate_reference(lat, target)

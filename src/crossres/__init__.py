@@ -47,7 +47,6 @@ from .crossed import (
     unit,
     abelianise,
     apply_map,
-    BasedCrossedElt,
     render_crossed,
     parse_crossed,
 )
@@ -76,7 +75,6 @@ from .syzygy_engine import (
     ResolutionState,
     compute_delta3,
     level3_candidates,
-    h2_prime,
     homotopy_eval,
     next_candidates,
     order_candidates,
@@ -115,13 +113,13 @@ __all__ = [
     "MaximalTree", "bfs_tree", "tree_from_file", "Contraction0", "render_zg",
     "Factor", "CrossedElt", "IDENTITY_CROSSED", "crossed", "mult", "inv",
     "act", "boundary2", "ModuleElt", "ZERO_MODULE", "unit", "abelianise",
-    "apply_map", "BasedCrossedElt", "render_crossed", "parse_crossed",
+    "apply_map", "render_crossed", "parse_crossed",
     "expand", "unexpand", "Lattice", "lattice_equal", "OrbitLattice",
     "span_of_orbit", "member_solve", "kernel_lattice",
     "FillError", "FillLimits", "DEFAULT_LIMITS", "fill_loop",
     "H1Table", "build_h1", "h1_eval",
     "Candidate", "Level", "ResolutionState", "compute_delta3",
-    "level3_candidates", "h2_prime", "homotopy_eval", "next_candidates",
+    "level3_candidates", "homotopy_eval", "next_candidates",
     "order_candidates", "reduce_level", "extend_resolution",
     "fox_matrix_map", "verify_state", "export_json", "import_json",
     "render_tables",

@@ -32,7 +32,7 @@ from .group_core import Contraction0, Presentation, PresentationError, \
 from .logged_rewriter import DEFAULT_LIMITS, FillLimits, build_h1
 from .syzygy_engine import ResolutionState, export_json, extend_resolution, \
     render_tables, verify_state
-from .words import parse_word
+from .words import Word, parse_letters, parse_word
 
 
 class InputError(ValueError):
@@ -41,23 +41,6 @@ class InputError(ValueError):
 
 def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
-
-
-def _raw_letter_count(word_text: str) -> int:
-    tokens = word_text.split()
-    if tokens == ["1"]:
-        return 0
-    total = 0
-    for tok in tokens:
-        name, sep, power_text = tok.partition("^")
-        if sep:
-            try:
-                total += abs(int(power_text))
-            except ValueError:
-                raise ValueError(f"malformed word token {tok!r}") from None
-        else:
-            total += 1
-    return total
 
 
 def parse_presentation(text: str, source: str = "<presentation>") -> Presentation:
@@ -93,13 +76,13 @@ def parse_presentation(text: str, source: str = "<presentation>") -> Presentatio
         seen.add(name)
         word_text = body.strip()
         try:
-            w = parse_word(word_text, set(gens))
-            raw_len = _raw_letter_count(word_text)
+            letters = parse_letters(word_text, set(gens))
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
+        w = Word(letters)
         if w.is_empty():
             raise InputError(f"{where}: relator {name!r} is empty")
-        if len(w) != raw_len:
+        if len(w) != len(letters):
             raise InputError(
                 f"{where}: relator {name!r} is not freely reduced as written")
         relators.append((name, w))

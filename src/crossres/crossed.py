@@ -11,8 +11,6 @@ on the identity submodule) together with boundary2.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .words import EMPTY, GroupRingElt, Word, parse_word
 
 Factor = tuple[str, int, Word]
@@ -163,12 +161,6 @@ def apply_map(graph, mapping: dict, m: ModuleElt) -> ModuleElt:
                     k = graph.mult(h, g)
                     row[k] = row.get(k, 0) + n * e
     return ModuleElt({s: GroupRingElt(row) for s, row in out.items()})
-
-
-class BasedCrossedElt(NamedTuple):
-    """A covering-groupoid element (g, c): the consequence c read at base g."""
-    base: int
-    elt: CrossedElt
 
 
 def render_crossed(a: CrossedElt) -> str:

@@ -52,14 +52,16 @@ def _rotations(pres):
     return out
 
 
-def _reduce_splice(p, c_inv, s):
-    out = list(p)
-    for letter in c_inv + s:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+def _join(x, y):
+    """Free reduction of x.y, for freely reduced x and y with letters coded
+    as signed integers: only the junction can cancel."""
+    if not x or not y or x[-1] != -y[0]:
+        return x + y
+    k = 1
+    n = min(len(x), len(y))
+    while k < n and x[-1 - k] == -y[k]:
+        k += 1
+    return x[:-k] + y[k:]
 
 
 def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
@@ -72,33 +74,67 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
     """
     if w.is_empty():
         return IDENTITY_CROSSED
-    rotations = _rotations(pres)
+    # The search codes a letter as +-(generator index + 1), so that the
+    # inverse of a letter is its negation.
+    names = tuple(dict.fromkeys(pres.generators + tuple(n for n, _ in w)))
+    code = {name: k + 1 for k, name in enumerate(names)}
+
+    def encode(letters):
+        return tuple(code[n] * s for n, s in letters)
+
+    def decode(letters):
+        return Word((names[abs(c) - 1], 1 if c > 0 else -1) for c in letters)
+
+    # Only a rotation that starts with letters[i] matches at position i.
+    # tails[m] is the freely reduced inverse of rot[m:], which replaces a
+    # match of length m; free reduction is confluent, so reducing it here
+    # leaves every child as it was.
+    starts: dict[int, list] = {}
+    for ri, name, sign, a, rot in _rotations(pres):
+        tails = [encode(Word(rot[m:]).inv().letters) for m in range(len(rot) + 1)]
+        starts.setdefault(code[rot[0][0]] * rot[0][1], []).append(
+            (encode(rot), tails, ri, 0 if sign == 1 else 1, len(a), (name, sign, a)))
     max_length = max(limits.max_length_factor * len(w), 8)
     budget = limits.node_budget
 
     def children(letters):
+        """(sort key, match count, child, move, position) for every rotation
+        that matches at a position and gives a child within max_length.
+
+        Matches of length 1..m of one rotation at position i all give the
+        child p.rot^-1.p^-1.letters (p = letters[:i]) freely reduced, so it
+        is built once and stands for m moves.  Their keys (length,
+        position, relator, sign, rotation offset, match length) differ only
+        in the last entry, so the m moves are adjacent in the sorted walk
+        and the key kept here leaves the match length out."""
         found = []
         L = len(letters)
         for i in range(L):
-            for ri, name, sign, a, rot in rotations:
-                mlen = 0
-                while mlen < len(rot) and i + mlen < L and letters[i + mlen] == rot[mlen]:
-                    mlen += 1
-                    c_inv = tuple((n, -s) for n, s in reversed(rot[mlen:]))
-                    child = _reduce_splice(letters[:i], c_inv, letters[i + mlen:])
-                    if len(child) <= max_length:
-                        found.append(
-                            ((len(child), i, ri, 0 if sign == 1 else 1, len(a), mlen),
-                             child, (name, sign, a, i)))
-        found.sort(key=lambda t: t[0])
+            p = letters[:i]
+            for rot, tails, ri, flag, offset, move in starts.get(letters[i], ()):
+                top = min(len(rot), L - i)
+                m = 1
+                while m < top and letters[i + m] == rot[m]:
+                    m += 1
+                child = _join(_join(p, tails[m]), letters[i + m:])
+                if len(child) <= max_length:
+                    found.append(((len(child), i, ri, flag, offset), m, child, move, i))
         return found
+
+    def logged(move, i, letters, rest):
+        name, sign, a = move
+        return [(name, sign, a * decode(letters[:i]).inv())] + rest
+
+    def overspent(letters):
+        return FillError(
+            f"filling search for {decode(letters).render()!r} exceeded "
+            f"the node budget (node_budget={limits.node_budget})")
 
     def dfs(letters, remaining, memo):
         nonlocal budget
         budget -= 1
         if budget < 0:
-            raise FillError(
-                f"filling search for {Word(letters).render()!r} exceeded the node budget")
+            raise overspent(letters)
         if not letters:
             return []
         if remaining == 0:
@@ -107,15 +143,35 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
         if seen is not None and seen >= remaining:
             return None
         memo[letters] = remaining
-        for _, child, (name, sign, a, i) in children(letters):
+        found = children(letters)
+        if remaining == 1:
+            # Every move leads to a leaf that costs one node.  An empty
+            # child sorts first and ends the search; otherwise the walk
+            # would find nothing.  When the budget cannot pay for every
+            # move, the sorted walk below names the word it runs out on.
+            moves = sum(t[1] for t in found)
+            if moves <= budget:
+                empty = [t for t in found if not t[2]]
+                if empty:
+                    budget -= 1
+                    _, _, _, move, i = min(empty, key=lambda t: t[0])
+                    return logged(move, i, letters, [])
+                budget -= moves
+                return None
+        found.sort(key=lambda t: t[0])
+        for _, m, child, move, i in found:
             rest = dfs(child, remaining - 1, memo)
             if rest is not None:
-                u = a * Word(letters[:i]).inv()
-                return [(name, sign, u)] + rest
+                return logged(move, i, letters, rest)
+            # The other m - 1 moves revisit the same child at the same
+            # depth: a leaf, or a word memo now stops.  Each costs one node.
+            budget -= m - 1
+            if budget < 0:
+                raise overspent(child)
         return None
 
     for depth in range(1, limits.max_depth + 1):
-        factors = dfs(w.letters, depth, {})
+        factors = dfs(encode(w.letters), depth, {})
         if factors is not None:
             result = CrossedElt(factors)
             assert boundary2(result, pres) == w

@@ -101,19 +101,6 @@ def level3_candidates(state: ResolutionState) -> list[Candidate]:
     return out
 
 
-def h2_prime(state: ResolutionState, g: int, c: CrossedElt) -> ModuleElt:
-    """Sum of xi lookups factor-by-factor over a crossed form: each
-    (r, eps, u) contributes eps . xi3[(g . phi(u)^-1, r)]."""
-    graph = state.graph
-    xi = state.levels[3].xi
-    total = ZERO_MODULE
-    for name, sign, u in c.factors:
-        h = graph.mult(g, graph.inv_elt(graph.eval_word(u, 0)))
-        entry = xi[(h, name)]
-        total = total + entry if sign > 0 else total - entry
-    return total
-
-
 def homotopy_eval(graph: CayleyGraph, xi, g: int, chain: ModuleElt) -> ModuleElt:
     """Additive homotopy: h(g, sum c . e_prev . g') = sum c . xi[(g.g'^-1, prev)]."""
     total = ZERO_MODULE
@@ -137,10 +124,7 @@ def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
     out = []
     for g in range(graph.order):
         for sym, _tag in level.basis:
-            if m == 3:
-                h_val = h2_prime(state, g, level.crossed[sym])
-            else:
-                h_val = homotopy_eval(graph, level.xi, g, level.boundary[sym])
+            h_val = homotopy_eval(graph, level.xi, g, level.boundary[sym])
             form = (-h_val) + unit(sym, graph.inv_elt(g))
             out.append(Candidate((g, sym), form, None))
     return out

@@ -103,12 +103,13 @@ def word(name: str, sign: int = 1) -> Word:
     return Word(((name, sign),))
 
 
-def parse_word(text: str, generators=None) -> Word:
-    """Parse caret-power word syntax: whitespace-separated tokens like
-    `x`, `x^3`, `x^-1`; the token `1` alone is the empty word."""
+def parse_letters(text: str, generators=None) -> list[Letter]:
+    """The letters of caret-power word syntax as written, before free
+    reduction: whitespace-separated tokens like `x`, `x^3`, `x^-1`; the
+    token `1` alone is the empty word."""
     tokens = text.split()
     if tokens == ["1"]:
-        return EMPTY
+        return []
     letters: list[Letter] = []
     for tok in tokens:
         name, sep, power_text = tok.partition("^")
@@ -127,7 +128,13 @@ def parse_word(text: str, generators=None) -> Word:
             raise ValueError(f"unknown generator {name!r} in word {text!r}")
         sign = 1 if power > 0 else -1
         letters.extend((name, sign) for _ in range(abs(power)))
-    return Word(letters)
+    return letters
+
+
+def parse_word(text: str, generators=None) -> Word:
+    """Parse caret-power word syntax (see parse_letters) into a freely
+    reduced word."""
+    return Word(parse_letters(text, generators))
 
 
 class GroupRingElt:

@@ -54,7 +54,6 @@ from .zg_lattice import (
     expand,
     unexpand,
     Lattice,
-    lattice_equal,
     OrbitLattice,
     span_of_orbit,
     member_solve,
@@ -114,7 +113,7 @@ __all__ = [
     "Factor", "CrossedElt", "IDENTITY_CROSSED", "crossed", "mult", "inv",
     "act", "boundary2", "ModuleElt", "ZERO_MODULE", "unit", "abelianise",
     "apply_map", "render_crossed", "parse_crossed",
-    "expand", "unexpand", "Lattice", "lattice_equal", "OrbitLattice",
+    "expand", "unexpand", "Lattice", "OrbitLattice",
     "span_of_orbit", "member_solve", "kernel_lattice",
     "FillError", "FillLimits", "DEFAULT_LIMITS", "fill_loop",
     "H1Table", "build_h1", "h1_eval",

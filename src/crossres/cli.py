@@ -100,7 +100,7 @@ def _parse_tag(tokens, graph, where):
         raise InputError(f"{where}: expected `<element-word> <name>`")
     name = tokens[-1]
     try:
-        g = graph.phi(parse_word(" ".join(tokens[:-1]), graph.gens))
+        g = graph.elt_by_name(" ".join(tokens[:-1]))
     except (KeyError, ValueError) as exc:
         raise InputError(f"{where}: {exc}") from None
     return (g, name)

@@ -161,11 +161,12 @@ class CayleyGraph:
 
     fwd[g][k] / bwd[g][k] give g.phi(x_k) and g.phi(x_k)^-1; word_rep[g] is
     the breadth-first shortlex positive word for g (word_rep[0] is empty).
+    _names[g] is word_rep[g] rendered, and _by_name inverts it.
     _right[b], once filled by mult, is the column h -> h.b.
     """
 
     __slots__ = ("presentation", "gens", "order", "fwd", "bwd", "word_rep", "_inv",
-                 "_right")
+                 "_names", "_by_name", "_right")
 
     def __init__(self, presentation, fwd):
         self.presentation = presentation
@@ -183,6 +184,8 @@ class CayleyGraph:
         for g in range(n):
             inv[g] = self.eval_word(self.word_rep[g].inv())
         self._inv = inv
+        self._names = [w.render() for w in self.word_rep]
+        self._by_name = {name: g for g, name in enumerate(self._names)}
         self._right = [None] * n
 
     def _bfs_words(self):
@@ -231,10 +234,15 @@ class CayleyGraph:
         return self._inv[g]
 
     def elt_name(self, g: int) -> str:
-        return self.word_rep[g].render()
+        return self._names[g]
 
     def elt_by_name(self, text: str) -> int:
-        return self.phi(parse_word(text, self.gens))
+        """The element a word names: a canonical name (elt_name) is looked
+        up, any other spelling is parsed and evaluated."""
+        g = self._by_name.get(text)
+        if g is None:
+            g = self.phi(parse_word(text, self.gens))
+        return g
 
 
 def enumerate_presentation(pres: Presentation, max_cosets: int = 100000) -> CayleyGraph:
@@ -383,7 +391,7 @@ def tree_from_file(path, graph: CayleyGraph) -> MaximalTree:
             except KeyError:
                 raise TreeError(f"{path}:{lineno}: unknown generator {gen_name!r}") from None
             try:
-                g = graph.phi(parse_word(" ".join(tokens[:-1]), graph.gens))
+                g = graph.elt_by_name(" ".join(tokens[:-1]))
             except ValueError as exc:
                 raise TreeError(f"{path}:{lineno}: {exc}") from None
             edges.append((g, k))

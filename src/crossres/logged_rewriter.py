@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .crossed import CrossedElt, IDENTITY_CROSSED, boundary2, inv, mult, parse_crossed
 from .group_core import Contraction0
-from .words import Word, parse_word, word
+from .words import Word, word
 
 
 class FillError(RuntimeError):
@@ -251,7 +251,7 @@ def _h1_from_file(contraction: Contraction0, path) -> H1Table:
                 raise ValueError(f"{path}:{lineno}: expected `<element-word> <generator>`")
             try:
                 k = graph.gen_index(tokens[-1])
-                g = graph.phi(parse_word(" ".join(tokens[:-1]), graph.gens))
+                g = graph.elt_by_name(" ".join(tokens[:-1]))
                 c = parse_crossed(body.strip(), names, graph.gens)
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -179,8 +179,8 @@ def reduce_level(state: ResolutionState, n: int, candidates,
         boundary[sym] = cand.form
         if cand.crossed_form is not None:
             crossed_forms[sym] = cand.crossed_form
-        for g in range(graph.order):
-            span.add(expand(graph, codomain, cand.form.translated(graph, g)))
+        span.add(*(expand(graph, codomain, cand.form.translated(graph, g))
+                   for g in range(graph.order)))
 
     if cert_overrides:
         stray = [tag for tag in cert_overrides if tag not in symbol_of_tag]
@@ -373,7 +373,7 @@ def _parse_module(graph, data) -> ModuleElt:
     coords = {}
     for sym, ring in data.items():
         coords[sym] = GroupRingElt(
-            {graph.phi(parse_word(wtext, graph.gens)): int(c)
+            {graph.elt_by_name(wtext): int(c)
              for wtext, c in ring.items()})
     return ModuleElt(coords)
 
@@ -431,7 +431,7 @@ def import_json(text: str) -> ResolutionState:
     graph = enumerate_presentation(pres)
     if [graph.elt_name(g) for g in range(graph.order)] != doc["group"]["elements"]:
         raise ValueError("element enumeration mismatch on import")
-    edges = frozenset((graph.phi(parse_word(wtext, gens)), graph.gen_index(x))
+    edges = frozenset((graph.elt_by_name(wtext), graph.gen_index(x))
                       for wtext, x in doc["tree"])
     tree = MaximalTree(graph, edges)
     contraction = Contraction0(graph, tree)
@@ -439,14 +439,14 @@ def import_json(text: str) -> ResolutionState:
     entries = {}
     for key, ctext in doc["h1"].items():
         head, gen = key.rsplit(" ", 1)
-        entries[(graph.phi(parse_word(head, gens)), graph.gen_index(gen))] = \
+        entries[(graph.elt_by_name(head), graph.gen_index(gen))] = \
             parse_crossed(ctext, rel_names, gens)
     state = ResolutionState(pres, graph, tree, contraction,
                             H1Table(contraction, entries))
     for ntext, entry in sorted(doc["levels"].items(), key=lambda kv: int(kv[0])):
         n = int(ntext)
-        basis = [(b["symbol"], (graph.phi(parse_word(b["tag"][0], gens)),
-                                b["tag"][1])) for b in entry["basis"]]
+        basis = [(b["symbol"], (graph.elt_by_name(b["tag"][0]), b["tag"][1]))
+                 for b in entry["basis"]]
         boundary = {sym: _parse_module(graph, entry["boundary"][sym])
                     for sym, _ in basis}
         crossed_forms = None
@@ -455,7 +455,7 @@ def import_json(text: str) -> ResolutionState:
                              for sym, ctext in entry["crossed"].items()}
         cands = []
         for c in entry["candidates"]:
-            tag = (graph.phi(parse_word(c["tag"][0], gens)), c["tag"][1])
+            tag = (graph.elt_by_name(c["tag"][0]), c["tag"][1])
             cf = None
             if "candidates_crossed" in entry:
                 cf = parse_crossed(
@@ -465,7 +465,7 @@ def import_json(text: str) -> ResolutionState:
         xi = {}
         for key, data in entry["xi"].items():
             head, name = key.rsplit(" ", 1)
-            xi[(graph.phi(parse_word(head, gens)), name)] = \
+            xi[(graph.elt_by_name(head), name)] = \
                 _parse_module(graph, data)
         symbol_of_tag = {tag: None for tag in xi}
         for sym, tag in basis:

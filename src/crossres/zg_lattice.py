@@ -45,6 +45,15 @@ def _hnf_in_place(rows, width, mirror=None):
     rows[:len(pivots)] are the canonical HNF basis (positive pivots,
     entries above each pivot reduced into [0, pivot)) and the remaining
     rows are zero.
+
+    While column `col` is processed, rows r..m-1 are zero left of `col`,
+    and every operation subtracts a multiple of one of them (the pivot
+    row) or negates it.  So each operation on `rows` rewrites only the
+    slice [col:]: the entries left of it would stay unchanged anyway.
+    `mirror` rows have no zero prefix and are rewritten in full.
+
+    The row lists in `rows` and `mirror` are mutated in place, so callers
+    pass lists they own.
     """
     pivots = []
     r = 0
@@ -62,27 +71,33 @@ def _hnf_in_place(rows, width, mirror=None):
                 rows[r], rows[best] = rows[best], rows[r]
                 if mirror is not None:
                     mirror[r], mirror[best] = mirror[best], mirror[r]
+            pivot = rows[r]
+            tail = pivot[col:]
             done = True
             for i in range(r + 1, m):
-                if rows[i][col]:
-                    q = rows[i][col] // rows[r][col]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                row = rows[i]
+                if row[col]:
+                    q = row[col] // pivot[col]
+                    row[col:] = [a - q * b for a, b in zip(row[col:], tail)]
                     if mirror is not None:
                         mirror[i] = [a - q * b for a, b in zip(mirror[i], mirror[r])]
-                    if rows[i][col]:
+                    if row[col]:
                         done = False
             if done:
                 break
         if r < m and rows[r][col]:
-            if rows[r][col] < 0:
-                rows[r] = [-a for a in rows[r]]
+            pivot = rows[r]
+            if pivot[col] < 0:
+                pivot[col:] = [-a for a in pivot[col:]]
                 if mirror is not None:
                     mirror[r] = [-a for a in mirror[r]]
-            d = rows[r][col]
+            d = pivot[col]
+            tail = pivot[col:]
             for i in range(r):
-                q = rows[i][col] // d
+                row = rows[i]
+                q = row[col] // d
                 if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                    row[col:] = [a - q * b for a, b in zip(row[col:], tail)]
                     if mirror is not None:
                         mirror[i] = [a - q * b for a, b in zip(mirror[i], mirror[r])]
             pivots.append(col)
@@ -133,10 +148,6 @@ class Lattice:
 
     def __hash__(self):
         return hash((self.ambient, self.rows))
-
-
-def lattice_equal(a: Lattice, b: Lattice) -> bool:
-    return a == b
 
 
 class OrbitLattice(Lattice):
@@ -268,11 +279,13 @@ class IntSpan:
     def contains(self, vec) -> bool:
         return not any(self._reduce(vec))
 
-    def add(self, vec):
-        rows = self.rows + [list(vec)]
+    def add(self, *vecs):
+        """Insert every given row, with one HNF over the old rows and the
+        new ones."""
+        rows = self.rows + [list(v) for v in vecs]
         pivots = _hnf_in_place(rows, self.ambient)
         self.rows = rows[:len(pivots)]
-        self.pivots = list(pivots)
+        self.pivots = pivots
 
 
 def map_rows(graph, dom_basis, codom_basis, mapping):

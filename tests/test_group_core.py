@@ -87,6 +87,38 @@ class TestEnumeration:
             enumerate_presentation(pres, max_cosets=3)
 
 
+def _graph_of(name):
+    with open(data_path(name)) as fh:
+        return enumerate_presentation(parse_presentation(fh.read(), name))
+
+
+class TestElementNames:
+    @pytest.mark.parametrize("name", ["s3.pres", "q8.pres", "c4.pres"])
+    def test_canonical_names_round_trip(self, name):
+        graph = _graph_of(name)
+        names = [graph.elt_name(g) for g in range(graph.order)]
+        assert names == [graph.word_rep[g].render() for g in range(graph.order)]
+        assert [graph.elt_by_name(text) for text in names] == list(range(graph.order))
+
+    def test_non_canonical_spelling(self):
+        graph = _graph_of("c4.pres")
+        assert graph.elt_name(3) == "x^3"
+        assert graph.elt_by_name("x^-1") == 3
+        assert graph.elt_by_name("x^5") == 1
+        assert graph.elt_by_name("x x^-1") == 0
+        assert graph.elt_by_name(" x^2 ") == 2
+
+    def test_unknown_generator(self):
+        graph = _graph_of("c4.pres")
+        with pytest.raises(ValueError) as exc:
+            graph.elt_by_name("x z")
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "unknown generator 'z' in word 'x z'"
+        with pytest.raises(ValueError) as exc:
+            graph.elt_by_name("x^")
+        assert str(exc.value) == "malformed word token 'x^'"
+
+
 class TestLoadTable:
     def test_c4_fixture(self):
         graph = load_table(data_path("c4.table"), cyclic(4))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -154,6 +155,35 @@ class TestVerifyAndSerialize:
         assert export_json(state2) == text
         ok, _ = verify_state(state2, samples=5)
         assert ok
+
+    def test_import_reads_non_canonical_names(self, s3_state):
+        # y^2 = 1 in S3, so "y^2 w" names the same element as w; only the
+        # element list must stay canonical
+        def respell(text):
+            return "y^2" if text == "1" else f"y^2 {text}"
+
+        def respell_module(data):
+            return {sym: {respell(w): c for w, c in ring.items()}
+                    for sym, ring in data.items()}
+
+        def respell_key(key):
+            head, name = key.rsplit(" ", 1)
+            return f"{respell(head)} {name}"
+
+        text = export_json(s3_state)
+        doc = json.loads(text)
+        doc["tree"] = [[respell(w), x] for w, x in doc["tree"]]
+        doc["h1"] = {respell_key(k): v for k, v in doc["h1"].items()}
+        for entry in doc["levels"].values():
+            entry["boundary"] = {sym: respell_module(m)
+                                 for sym, m in entry["boundary"].items()}
+            for cand in entry["candidates"]:
+                cand["form"] = respell_module(cand["form"])
+            entry["xi"] = {respell_key(k): respell_module(m)
+                           for k, m in entry["xi"].items()}
+        respelled = json.dumps(doc)
+        assert '"y^2 x"' in respelled
+        assert export_json(import_json(respelled)) == text
 
     def test_import_rejects_corruption(self, s3_state):
         text = export_json(s3_state)

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from crossres import (GroupRingElt, Lattice, ModuleElt, OrbitLattice,
                       apply_map, enumerate_presentation, expand,
-                      fox_matrix_map, kernel_lattice, lattice_equal,
+                      fox_matrix_map, kernel_lattice,
                       member_solve, span_of_orbit, unexpand, unit, word,
                       Presentation)
-from crossres.zg_lattice import IntSpan, _greedy_certificate
+from crossres.zg_lattice import IntSpan, _greedy_certificate, _hnf_in_place
 
 
 def test_expand_unexpand_round_trip(s3_graph):
@@ -34,7 +34,7 @@ def test_lattice_hnf_frozen():
 def test_lattice_equality_api():
     a = Lattice(3, [[1, 0, 0], [0, 2, 0]])
     b = Lattice(3, [[1, 2, 0], [2, 2, 0]])
-    assert a == b and lattice_equal(a, b)
+    assert a == b
     c = Lattice(3, [[1, 0, 0], [0, 1, 0]])
     assert a != c
 
@@ -76,6 +76,118 @@ def test_int_span():
     assert span.contains([4, 3, 0])
     assert not span.contains([1, 0, 0])
     assert not span.contains([0, 0, 1])
+
+
+def hnf_in_place_reference(rows, width, mirror=None):
+    """The HNF with every row operation over the full row width."""
+    pivots = []
+    r = 0
+    m = len(rows)
+    for col in range(width):
+        # chain gcd steps down the column until one nonzero entry remains
+        while True:
+            best = None
+            for i in range(r, m):
+                if rows[i][col] and (best is None or abs(rows[i][col]) < abs(rows[best][col])):
+                    best = i
+            if best is None:
+                break
+            if best != r:
+                rows[r], rows[best] = rows[best], rows[r]
+                if mirror is not None:
+                    mirror[r], mirror[best] = mirror[best], mirror[r]
+            done = True
+            for i in range(r + 1, m):
+                if rows[i][col]:
+                    q = rows[i][col] // rows[r][col]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                    if mirror is not None:
+                        mirror[i] = [a - q * b for a, b in zip(mirror[i], mirror[r])]
+                    if rows[i][col]:
+                        done = False
+            if done:
+                break
+        if r < m and rows[r][col]:
+            if rows[r][col] < 0:
+                rows[r] = [-a for a in rows[r]]
+                if mirror is not None:
+                    mirror[r] = [-a for a in mirror[r]]
+            d = rows[r][col]
+            for i in range(r):
+                q = rows[i][col] // d
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                    if mirror is not None:
+                        mirror[i] = [a - q * b for a, b in zip(mirror[i], mirror[r])]
+            pivots.append(col)
+            r += 1
+            if r == m:
+                break
+    return pivots
+
+
+@st.composite
+def matrices(draw):
+    """Small integer matrices with the shapes HNF must handle: rank
+    deficiency (integer combinations of earlier rows), zero and duplicate
+    rows, negated rows, and columns that start with zeros."""
+    width = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    lead = draw(st.integers(0, width - 1))
+    rows = [[0] * lead + draw(st.lists(entry, min_size=width - lead,
+                                       max_size=width - lead))
+            for _ in range(draw(st.integers(0, 4)))]
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "neg", "comb"]),
+                              max_size=4)):
+        if kind == "zero" or not rows:
+            rows.append([0] * width)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "neg":
+            rows.append([-a for a in draw(st.sampled_from(rows))])
+        else:
+            c1, c2 = draw(entry), draw(entry)
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([c1 * x + c2 * y for x, y in zip(a, b)])
+    order = draw(st.permutations(range(len(rows))))
+    return width, [rows[i] for i in order]
+
+
+def _identity(k):
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_hnf_matches_full_row_reference(matrix):
+    width, raw = matrix
+    rows, want_rows = [list(r) for r in raw], [list(r) for r in raw]
+    assert _hnf_in_place(rows, width) == hnf_in_place_reference(want_rows, width)
+    assert rows == want_rows
+    rows, want_rows = [list(r) for r in raw], [list(r) for r in raw]
+    mirror, want_mirror = _identity(len(raw)), _identity(len(raw))
+    assert (_hnf_in_place(rows, width, mirror)
+            == hnf_in_place_reference(want_rows, width, want_mirror))
+    assert rows == want_rows
+    assert mirror == want_mirror
+
+
+@settings(deadline=None)
+@given(matrices(), st.integers(0, 3))
+def test_int_span_batch_add_matches_single_adds(matrix, start):
+    width, raw = matrix
+    batched, single = IntSpan(width), IntSpan(width)
+    for row in raw[:start]:
+        batched.add(row)
+        single.add(row)
+    batched.add(*raw[start:])
+    for row in raw[start:]:
+        single.add(row)
+    assert batched.rows == single.rows
+    assert batched.pivots == single.pivots
+    lat = Lattice(width, raw)
+    assert [tuple(r) for r in batched.rows] == list(lat.rows)
+    assert tuple(batched.pivots) == lat.pivots
 
 
 class TestOrbitLattice:

@@ -55,7 +55,6 @@ from .zg_lattice import (
     unexpand,
     Lattice,
     OrbitLattice,
-    span_of_orbit,
     member_solve,
     kernel_lattice,
 )
@@ -114,7 +113,7 @@ __all__ = [
     "act", "boundary2", "ModuleElt", "ZERO_MODULE", "unit", "abelianise",
     "apply_map", "render_crossed", "parse_crossed",
     "expand", "unexpand", "Lattice", "OrbitLattice",
-    "span_of_orbit", "member_solve", "kernel_lattice",
+    "member_solve", "kernel_lattice",
     "FillError", "FillLimits", "DEFAULT_LIMITS", "fill_loop",
     "H1Table", "build_h1", "h1_eval",
     "Candidate", "Level", "ResolutionState", "compute_delta3",

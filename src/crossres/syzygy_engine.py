@@ -192,7 +192,7 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                 f"certificate pins for tags that are not rejected at "
                 f"level {n}: {names}")
 
-    lattice = OrbitLattice(graph, codomain, [c.form for c in accepted])
+    lattice = OrbitLattice(graph, codomain, [c.form for c in accepted], span)
     xi: dict[Tag, ModuleElt] = {}
     for cand in candidates:
         sym = symbol_of_tag[cand.tag]

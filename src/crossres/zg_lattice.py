@@ -1,6 +1,7 @@
 """Exact linear algebra over ZG for finite G, by expansion to integer row
-lattices: Hermite normal form with a transformation log, membership with
-ZG-certificates, kernel lattices, and canonical lattice equality.
+lattices: Hermite normal form, a growing span that logs every HNF row as a
+combination of its inputs and collects the relations among them, membership
+with ZG-certificates, kernel lattices, and canonical lattice equality.
 
 Everything is arbitrary-precision integer arithmetic on lists; a ModuleElt
 over basis B expands to a vector of length |B|.|G| with coordinate
@@ -37,14 +38,17 @@ def unexpand(graph, basis, vec) -> ModuleElt:
     return ModuleElt(coords)
 
 
-def _hnf_in_place(rows, width, mirror=None):
+def _hnf_in_place(rows, width, mirror=None, echelon=False):
     """Row-style Hermite normal form by integer row operations.
 
     Applies the same operations to the optional `mirror` matrix (the
     transformation log).  Returns the list of pivot columns; on return,
     rows[:len(pivots)] are the canonical HNF basis (positive pivots,
     entries above each pivot reduced into [0, pivot)) and the remaining
-    rows are zero.
+    rows are zero.  With `echelon`, the entries above each pivot are left
+    as they are: the rows are an echelon basis of the same lattice with
+    the same pivot columns and pivot values, but not a canonical one.
+    Skipping that reduction changes no row at or below the current pivot.
 
     While column `col` is processed, rows r..m-1 are zero left of `col`,
     and every operation subtracts a multiple of one of them (the pivot
@@ -93,7 +97,7 @@ def _hnf_in_place(rows, width, mirror=None):
                     mirror[r] = [-a for a in mirror[r]]
             d = pivot[col]
             tail = pivot[col:]
-            for i in range(r):
+            for i in range(0 if echelon else r):
                 row = rows[i]
                 q = row[col] // d
                 if q:
@@ -150,41 +154,100 @@ class Lattice:
         return hash((self.ambient, self.rows))
 
 
+class IntSpan:
+    """Integer row span grown by `add`, the working structure behind
+    greedy reduction.  After every `add`, `rows` and `pivots` are the
+    canonical HNF of all rows added so far (the inputs, numbered in the
+    order they were added; `size` counts them).
+
+    The span logs how it was built: `log[i]` gives rows[i] as an integer
+    combination of the inputs, and each entry of `relations` is an integer
+    combination of the inputs that is zero.  A relation found when k
+    inputs had been added has length k; the later inputs' coefficients
+    are zero.  Padded to `size`, the log rows and the relations form a
+    unimodular matrix, so the relations span every relation among the
+    inputs."""
+
+    __slots__ = ("ambient", "rows", "pivots", "log", "relations", "size")
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.log: list[list[int]] = []
+        self.relations: list[list[int]] = []
+        self.size = 0
+
+    def _reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                q = v[p] // row[p]
+                if q:
+                    v = [a - q * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec) -> bool:
+        return not any(self._reduce(vec))
+
+    def add(self, *vecs):
+        """Insert every given row, with one HNF over the old rows and the
+        new ones.  The old log rows are padded with zeros and each new row
+        starts its log as a unit row; the log rows of the rows that become
+        zero join `relations`."""
+        k, size = len(vecs), self.size
+        pad = [0] * k
+        log = [row + pad for row in self.log]
+        log += [[0] * (size + i) + [1] + [0] * (k - 1 - i) for i in range(k)]
+        rows = self.rows + [list(v) for v in vecs]
+        pivots = _hnf_in_place(rows, self.ambient, log)
+        rank = len(pivots)
+        self.rows = rows[:rank]
+        self.pivots = pivots
+        self.log = log[:rank]
+        self.relations += log[rank:]
+        self.size = size + k
+
+
 class OrbitLattice(Lattice):
-    """ZG-span of a list of generators, with provenance: each HNF row is
-    logged as an integer combination of the input rows (the G-translates
-    of the generators, ordered generator-major then element index), and
-    the integer relations among the input rows are kept for canonical
-    certificate reduction."""
+    """ZG-span of a list of generators, with provenance.  The input rows
+    are the G-translates of the generators, ordered generator-major then
+    element index.  Each HNF row is logged as an integer combination of
+    the input rows (`expr_rows`), and an echelon basis of the integer
+    relations among the input rows (`kernel_rows`) is kept for canonical
+    certificate reduction.
+
+    `span` is an IntSpan into which exactly these input rows were added,
+    in this order, such as the one `reduce_level` grows; the lattice takes
+    its HNF, log and relations.  Without it, the lattice fills its own
+    span, one generator's translates at a time."""
 
     __slots__ = ("graph", "basis", "gens", "expr_rows", "kernel_rows",
                  "kernel_pivots", "_supports")
 
-    def __init__(self, graph, basis, gens):
+    def __init__(self, graph, basis, gens, span=None):
         n = graph.order
         inputs = [expand(graph, basis, m.translated(graph, g))
                   for m in gens for g in range(n)]
-        ambient = len(basis) * n
-        rows = [list(r) for r in inputs]
-        mirror = [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))]
-        pivots = _hnf_in_place(rows, ambient, mirror)
-        rank = len(pivots)
-        self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows[:rank])
-        self.pivots = tuple(pivots)
+        if span is None:
+            span = IntSpan(len(basis) * n)
+            for j in range(len(gens)):
+                span.add(*inputs[j * n:(j + 1) * n])
+        elif span.size != len(inputs):
+            raise ValueError(f"span holds {span.size} input rows, "
+                             f"the generators have {len(inputs)} translates")
+        self.ambient = span.ambient
+        self.rows = tuple(tuple(r) for r in span.rows)
+        self.pivots = tuple(span.pivots)
         self.graph = graph
         self.basis = basis
         self.gens = list(gens)
-        self.expr_rows = tuple(tuple(r) for r in mirror[:rank])
-        kernel = [list(r) for r in mirror[rank:]]
-        self.kernel_pivots = tuple(_hnf_in_place(kernel, len(inputs)))
+        self.expr_rows = tuple(tuple(r) for r in span.log)
+        kernel = [r + [0] * (len(inputs) - len(r)) for r in span.relations]
+        self.kernel_pivots = tuple(_hnf_in_place(kernel, len(inputs), echelon=True))
         self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
         # each input row as its sparse support [(position, value)]
         self._supports = [[(p, v) for p, v in enumerate(row) if v] for row in inputs]
-
-
-def span_of_orbit(graph, basis, gens) -> OrbitLattice:
-    return OrbitLattice(graph, basis, gens)
 
 
 def _greedy_certificate(lat: OrbitLattice, vec):
@@ -230,17 +293,34 @@ def member_solve(lat: OrbitLattice, target: ModuleElt):
     sum_j gen_j . cert_j = target.  Otherwise None (exact non-membership).
 
     The certificate is the greedy small-support solution when the peeling
-    search reaches zero (it reproduces hand-computed retraction tables);
-    otherwise the HNF solution reduced canonically modulo the relation
-    lattice of the generator translates.
+    search reaches zero (it reproduces hand-computed retraction tables,
+    and reaching zero proves membership).  Otherwise it is the HNF
+    solution v reduced modulo the relation lattice K of the generator
+    translates.  K is kept as an echelon basis with positive pivots d_k
+    in columns p_k, not reduced above them, and the reduction leaves
+    every entry v[p_k] in [0, d_k).  That representative of v + K is
+    unique: two of them differ by an element of K whose first nonzero
+    echelon coefficient c sits alone in its pivot column, so
+    |c.d_k| < d_k and c = 0.  So the certificate depends neither on the
+    transformation log nor on which echelon basis of K is used, and it
+    equals the one reduced modulo the HNF of K.
     """
     vec = expand(lat.graph, lat.basis, target)
+    cert = _greedy_certificate(lat, vec)
+    if cert is None:
+        cert = _hnf_certificate(lat, vec)
+        if cert is None:
+            return None
+    return [GroupRingElt(d) for d in cert]
+
+
+def _hnf_certificate(lat: OrbitLattice, vec):
+    """The HNF solution for the expanded target `vec`, reduced modulo the
+    relation echelon, as one coefficient dict per generator; None if
+    `vec` is not in the lattice."""
     coeffs = lat.solve(vec)
     if coeffs is None:
         return None
-    greedy = _greedy_certificate(lat, vec)
-    if greedy is not None:
-        return [GroupRingElt(d) for d in greedy]
     n_inputs = len(lat.gens) * lat.graph.order
     v = [0] * n_inputs
     for q, expr in zip(coeffs, lat.expr_rows):
@@ -249,43 +329,11 @@ def member_solve(lat: OrbitLattice, target: ModuleElt):
     for row, p in zip(lat.kernel_rows, lat.kernel_pivots):
         q = v[p] // row[p]
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
+            # an echelon row is zero left of its pivot
+            v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
     n = lat.graph.order
-    return [GroupRingElt({g: v[j * n + g] for g in range(n) if v[j * n + g]})
+    return [{g: v[j * n + g] for g in range(n) if v[j * n + g]}
             for j in range(len(lat.gens))]
-
-
-class IntSpan:
-    """Mutable integer row span with incremental membership — the working
-    structure behind greedy reduction.  Not canonical; use Lattice for
-    anything compared or exported."""
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                q = v[p] // row[p]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
-
-    def add(self, *vecs):
-        """Insert every given row, with one HNF over the old rows and the
-        new ones."""
-        rows = self.rows + [list(v) for v in vecs]
-        pivots = _hnf_in_place(rows, self.ambient)
-        self.rows = rows[:len(pivots)]
-        self.pivots = pivots
 
 
 def map_rows(graph, dom_basis, codom_basis, mapping):

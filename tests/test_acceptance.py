@@ -14,7 +14,7 @@ from crossres import (BarResolution, GroupRingElt, ModuleElt, Presentation,
                       enumerate_presentation, export_json, extend_resolution,
                       fox_matrix_map, import_json, kernel_lattice,
                       level3_candidates, order_candidates, parse_crossed,
-                      parse_presentation, parse_word, reduce_level, span_of_orbit, unit,
+                      parse_presentation, parse_word, reduce_level, OrbitLattice, unit,
                       verify_state, word)
 from crossres.syzygy_engine import ResolutionState
 from crossres.logged_rewriter import build_h1
@@ -176,8 +176,8 @@ def test_criterion_03_minimal_generating_set(s3_state):
     lvl3 = s3_state.levels[3]
     kept = [(graph.elt_name(t[0]), t[1]) for _, t in lvl3.basis]
     assert kept == [("x^2", "r"), ("y", "s"), ("x^2", "s"), ("x", "t")]
-    image = span_of_orbit(graph, lvl3.codomain,
-                          [lvl3.boundary[s] for s, _ in lvl3.basis])
+    image = OrbitLattice(graph, lvl3.codomain,
+                         [lvl3.boundary[s] for s, _ in lvl3.basis])
     fox = fox_matrix_map(s3_state.presentation, graph)
     kern = kernel_lattice(graph, lvl3.codomain,
                           list(s3_state.presentation.generators), fox)
@@ -229,10 +229,10 @@ def test_criterion_05_level4_tables(s3_state):
     # reduction keeps 5 relations; their orbit lattice equals the orbit
     # lattice of the published dependency table's kept rows
     assert len(lvl4.basis) == 5
-    image = span_of_orbit(graph, [s for s, _ in lvl3.basis],
-                          [lvl4.boundary[s] for s, _ in lvl4.basis])
-    published = span_of_orbit(graph, [s for s, _ in lvl3.basis],
-                              [M(graph, LEVEL4_FORMS[k]) for k in LEVEL4_KEPT])
+    image = OrbitLattice(graph, [s for s, _ in lvl3.basis],
+                         [lvl4.boundary[s] for s, _ in lvl4.basis])
+    published = OrbitLattice(graph, [s for s, _ in lvl3.basis],
+                             [M(graph, LEVEL4_FORMS[k]) for k in LEVEL4_KEPT])
     assert image == published
 
     # the published last row is internally inconsistent with the published
@@ -283,8 +283,8 @@ def test_criterion_06_exactness():
     def check(state, n):
         graph = state.graph
         hi, lo = state.levels[n + 1], state.levels[n]
-        image = span_of_orbit(graph, [s for s, _ in lo.basis],
-                              [hi.boundary[s] for s, _ in hi.basis])
+        image = OrbitLattice(graph, [s for s, _ in lo.basis],
+                             [hi.boundary[s] for s, _ in hi.basis])
         kern = kernel_lattice(graph, [s for s, _ in lo.basis],
                               lo.codomain, lo.boundary)
         assert image == kern, n
@@ -314,9 +314,9 @@ def test_criterion_07_cyclic_oracle_agreement():
             level = state.levels[n]
             assert len(level.basis) == 1, (r, n)
             sym = level.basis[0][0]
-            got = span_of_orbit(graph, level.codomain,
-                                [level.boundary[sym]])
-            want = span_of_orbit(graph, level.codomain, [ModuleElt(
+            got = OrbitLattice(graph, level.codomain,
+                               [level.boundary[sym]])
+            want = OrbitLattice(graph, level.codomain, [ModuleElt(
                 {level.codomain[0]: cyclic_ring(graph, n)})])
             assert got == want, (r, n)
         oracle = cyclic_resolution(r, 6)

@@ -8,8 +8,8 @@ from crossres import (GroupRingElt, ModuleElt, RunConfig, abelianise, apply_map,
                       extend_resolution, fox_matrix_map, homotopy_eval,
                       import_json, kernel_lattice, level3_candidates,
                       order_candidates, parse_word, reduce_level,
-                      render_crossed, render_tables, span_of_orbit, unit,
-                      verify_state, zg_lattice)
+                      render_crossed, render_tables, OrbitLattice, unit,
+                      syzygy_engine, verify_state, zg_lattice)
 from crossres.syzygy_engine import ResolutionState
 from conftest import data_path, s3_config
 
@@ -220,17 +220,17 @@ def test_exactness_of_deeper_levels():
     graph = state.graph
     for n in (3, 4):
         hi, lo = state.levels[n + 1], state.levels[n]
-        image = span_of_orbit(graph, [s for s, _ in lo.basis],
-                              [hi.boundary[s] for s, _ in hi.basis])
+        image = OrbitLattice(graph, [s for s, _ in lo.basis],
+                             [hi.boundary[s] for s, _ in hi.basis])
         kern = kernel_lattice(graph, [s for s, _ in lo.basis],
                               lo.codomain, lo.boundary)
         assert image == kern
 
 
-def test_q8_full_build_is_frozen(monkeypatch):
-    """One whole build with CLI defaults to level 5, pinned byte for byte.
-    Q8 reaches both certificate sources: the greedy peel and, where it
-    stalls, the HNF solution reduced modulo the relation lattice."""
+def _build_counting_sources(monkeypatch, config):
+    """Build the state, counting certificates by source: the greedy peel,
+    or the HNF solution reduced modulo the relation lattice where the peel
+    stalls."""
     sources = {"greedy": 0, "hnf": 0}
     greedy = zg_lattice._greedy_certificate
 
@@ -240,9 +240,90 @@ def test_q8_full_build_is_frozen(monkeypatch):
         return cert
 
     monkeypatch.setattr(zg_lattice, "_greedy_certificate", counted)
-    state = build_state(RunConfig(presentation=data_path("q8.pres"),
-                                  max_level=5))
+    state = build_state(config)
+    return state, sources
+
+
+def test_q8_full_build_is_frozen(monkeypatch):
+    """One whole build with CLI defaults to level 5, pinned byte for byte.
+    Q8 reaches both certificate sources: the greedy peel and, where it
+    stalls, the HNF solution reduced modulo the relation lattice."""
+    state, sources = _build_counting_sources(
+        monkeypatch, RunConfig(presentation=data_path("q8.pres"), max_level=5))
     assert sources == {"greedy": 61, "hnf": 21}
     digest = hashlib.sha256(export_json(state).encode()).hexdigest()
     assert digest == ("9e9121b0c850e5e1f0523c834cc62a21"
                       "e77cff4747cc4c128040c7f3a3b17efb")
+
+
+def test_sl23_full_build_is_frozen(monkeypatch):
+    """SL(2,3) to level 5 on a BFS tree, a stored h1 table and the declared
+    order, pinned byte for byte.  A third of its certificates come from
+    the HNF fallback, so the relation lattice decides many bytes."""
+    state, sources = _build_counting_sources(
+        monkeypatch, RunConfig(presentation=data_path("sl23.pres"), max_level=5,
+                               h1=data_path("sl23.h1")))
+    assert sources == {"greedy": 120, "hnf": 64}
+    digest = hashlib.sha256(export_json(state).encode()).hexdigest()
+    assert digest == ("0c2ae5ce281f0bd9634d8c657fc48616"
+                      "b8cc0096213ac21ed540a052f812c603")
+
+
+@pytest.mark.parametrize("config", [
+    s3_config(),
+    RunConfig(presentation=data_path("q8.pres"), max_level=5),
+], ids=["s3-L4", "q8-L5"])
+def test_reduction_span_lattice_matches_standalone(monkeypatch, config):
+    """The OrbitLattice that reduce_level builds from its own span equals
+    one that fills its own span over the same generators: same HNF, same
+    relation lattice, and the same certificate for every candidate.  The
+    HNF-fallback certificate of every candidate, whether or not the greedy
+    peel reaches it, also equals the one the direct logged HNF gives."""
+    built = []
+
+    def recording(graph, basis, gens, span=None):
+        lat = zg_lattice.OrbitLattice(graph, basis, gens, span)
+        built.append(lat)
+        return lat
+
+    monkeypatch.setattr(syzygy_engine, "OrbitLattice", recording)
+    state = build_state(config)
+    levels = sorted(state.levels)
+    assert len(built) == len(levels)
+    for n, lat in zip(levels, built):
+        alone = zg_lattice.OrbitLattice(lat.graph, lat.basis, lat.gens)
+        assert (lat.rows, lat.pivots) == (alone.rows, alone.pivots), n
+        width = len(lat.gens) * lat.graph.order
+        assert (zg_lattice.Lattice(width, lat.kernel_rows)
+                == zg_lattice.Lattice(width, alone.kernel_rows)), n
+        reference = _logged_hnf_reference(lat)
+        for cand in state.levels[n].candidates:
+            assert (zg_lattice.member_solve(lat, cand.form)
+                    == zg_lattice.member_solve(alone, cand.form)), (n, cand.tag)
+            vec = zg_lattice.expand(lat.graph, lat.basis, cand.form)
+            assert (zg_lattice._hnf_certificate(lat, vec)
+                    == reference(vec)), (n, cand.tag)
+
+
+def _logged_hnf_reference(lat):
+    """The HNF-fallback certificate computed the direct way: one HNF over
+    all generator translates with an identity-started log, then the full
+    HNF of the relation rows that log leaves."""
+    n = lat.graph.order
+    inputs = [zg_lattice.expand(lat.graph, lat.basis, m.translated(lat.graph, g))
+              for m in lat.gens for g in range(n)]
+    rows = [list(r) for r in inputs]
+    log = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+    rank = len(zg_lattice._hnf_in_place(rows, lat.ambient, log))
+    image = zg_lattice.Lattice(lat.ambient, inputs)
+    kernel = zg_lattice.Lattice(len(inputs), log[rank:])
+
+    def certificate(vec):
+        coeffs = image.solve(vec)
+        v = [0] * len(inputs)
+        for q, expr in zip(coeffs, log[:rank]):
+            v = [a + q * b for a, b in zip(v, expr)]
+        v, _ = kernel._reduce(v)
+        return [{g: v[j * n + g] for g in range(n) if v[j * n + g]}
+                for j in range(len(lat.gens))]
+    return certificate

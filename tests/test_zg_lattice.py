@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from crossres import (GroupRingElt, Lattice, ModuleElt, OrbitLattice,
                       apply_map, enumerate_presentation, expand,
                       fox_matrix_map, kernel_lattice,
-                      member_solve, span_of_orbit, unexpand, unit, word,
+                      member_solve, unexpand, unit, word,
                       Presentation)
 from crossres.zg_lattice import IntSpan, _greedy_certificate, _hnf_in_place
 
@@ -190,10 +190,66 @@ def test_int_span_batch_add_matches_single_adds(matrix, start):
     assert tuple(batched.pivots) == lat.pivots
 
 
+def _reduce_modulo(rows, pivots, vec):
+    """Reduce vec by each row in turn, as member_solve reduces modulo the
+    relation echelon: every pivot entry ends in [0, pivot)."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        q = v[p] // row[p]
+        v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_echelon_reduction_matches_hnf(matrix, data):
+    width, raw = matrix
+    rows = [list(r) for r in raw]
+    pivots = _hnf_in_place(rows, width, echelon=True)
+    echelon = rows[:len(pivots)]
+    lat = Lattice(width, raw)
+    assert tuple(pivots) == lat.pivots
+    assert [row[p] for row, p in zip(echelon, pivots)] \
+        == [row[p] for row, p in zip(lat.rows, lat.pivots)]
+    assert all(not any(row) for row in rows[len(pivots):])
+    assert Lattice(width, echelon) == lat
+    vec = data.draw(st.lists(st.integers(-50, 50), min_size=width, max_size=width))
+    assert _reduce_modulo(echelon, pivots, vec) == lat._reduce(vec)[0]
+
+
+def _dot(coeffs, rows, width):
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+@settings(deadline=None)
+@given(matrices(), st.lists(st.integers(1, 3), max_size=6))
+def test_int_span_log_and_relations(matrix, batches):
+    """Added in batches, the span's log rows give its HNF rows and its
+    relations give zero, and the relations span the same lattice as the
+    relation rows of one identity-logged HNF over all inputs."""
+    width, raw = matrix
+    span, start = IntSpan(width), 0
+    for size in batches + [len(raw)]:
+        span.add(*raw[start:start + size])
+        start += size
+    assert span.size == len(raw)
+    for row, log in zip(span.rows, span.log):
+        assert _dot(log, raw, width) == row
+    for rel in span.relations:
+        assert not any(_dot(rel, raw, width))
+    rows, mirror = [list(r) for r in raw], _identity(len(raw))
+    rank = len(_hnf_in_place(rows, width, mirror))
+    padded = [rel + [0] * (len(raw) - len(rel)) for rel in span.relations]
+    assert Lattice(len(raw), padded) == Lattice(len(raw), mirror[rank:])
+
+
 class TestOrbitLattice:
     def test_span_of_orbit_closure(self, s3_graph):
         m = unit("r", 1) - unit("r", 0)
-        lat = span_of_orbit(s3_graph, ["r"], [m])
+        lat = OrbitLattice(s3_graph, ["r"], [m])
         for g in range(6):
             assert lat.contains(expand(s3_graph, ["r"],
                                        m.translated(s3_graph, g)))
@@ -239,7 +295,7 @@ def test_kernel_lattice_cyclic():
     fox = fox_matrix_map(pres, graph)
     kern = kernel_lattice(graph, ["r"], ["x"], fox)
     # N(4) has one relation: (t - 1) . N(4) = 0
-    want = span_of_orbit(graph, ["r"], [unit("r", 1) - unit("r", 0)])
+    want = OrbitLattice(graph, ["r"], [unit("r", 1) - unit("r", 0)])
     assert kern == want
 
 

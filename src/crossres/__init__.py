@@ -86,7 +86,6 @@ from .syzygy_engine import (
 )
 from .oracles import (
     BarResolution,
-    bar_delta,
     bar_homotopy,
     bar_check_boundaries,
     bar_check_homotopy,
@@ -121,7 +120,7 @@ __all__ = [
     "order_candidates", "reduce_level", "extend_resolution",
     "fox_matrix_map", "verify_state", "export_json", "import_json",
     "render_tables",
-    "BarResolution", "bar_delta", "bar_homotopy",
+    "BarResolution", "bar_homotopy",
     "bar_check_boundaries", "bar_check_homotopy",
     "cyclic_ring", "cyclic_resolution",
     "InputError", "RunConfig", "parse_presentation", "parse_order_file",

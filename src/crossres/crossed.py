@@ -68,14 +68,17 @@ def act(a: CrossedElt, w: Word) -> CrossedElt:
 
 
 def boundary2(a: CrossedElt, pres) -> Word:
-    """delta_2: prod u^-1 (omega r)^e u, freely reduced."""
-    out = EMPTY
+    """delta_2: prod u^-1 (omega r)^e u, freely reduced.  The letters of
+    every factor are concatenated and reduced once, by the stack that
+    cancels at its top in `Word`; free reduction is confluent, so this is
+    the word the product of the factors gives."""
+    letters: list = []
     for name, sign, u in a.factors:
         w = pres.relator_word(name)
         if sign == -1:
             w = w.inv()
-        out = out * u.inv() * w * u
-    return out
+        letters += u.inv().letters + w.letters + u.letters
+    return Word(letters)
 
 
 class ModuleElt:

@@ -116,6 +116,8 @@ class BarResolution:
         return total + unit(tup[:-1], 0, sign)
 
     def delta(self, n: int, tup):
+        """Boundary of the level-n basis tuple: a Word for n = 2, a crossed
+        element for n = 3, a module element for n >= 4."""
         tup = tuple(tup)
         if n < 2 or len(tup) != n:
             raise ValueError(f"level {n} boundary needs an {n}-tuple, got {tup!r}")
@@ -161,12 +163,6 @@ class BarResolution:
                 head = self.graph.mult(a, self.graph.inv_elt(gp))
                 total = total + unit((head,) + tau, 0, coeff)
         return total
-
-
-def bar_delta(n: int, tup, bar: BarResolution):
-    """Boundary of the level-n basis tuple: a Word for n = 2, a crossed
-    element for n = 3, a module element for n >= 4."""
-    return bar.delta(n, tup)
 
 
 def bar_homotopy(n: int, based, bar: BarResolution):

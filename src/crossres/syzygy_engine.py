@@ -33,8 +33,10 @@ from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .logged_rewriter import H1Table, h1_eval
 from .words import GroupRingElt, Word, fox_derivative, parse_word
-from .zg_lattice import IntSpan, Lattice, OrbitLattice, expand, kernel_lattice, \
-    map_rows, member_solve
+from .zg_lattice import IntSpan, Lattice, OrbitLattice, expand, map_rows, \
+    member_solve
+# unused here; bench/tracing.py looks it up in this module to time it
+from .zg_lattice import kernel_lattice  # noqa: F401
 
 SCHEMA = "crossres-state/1"
 
@@ -273,7 +275,19 @@ def fox_matrix_map(pres: Presentation, graph: CayleyGraph):
 
 def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     """Re-derive every stored invariant; returns (ok, report rows).
-    Each row is (check, level, element, ok, detail)."""
+    Each row is (check, level, element, ok, detail).
+
+    Exactness (image of delta_n = kernel of delta_{n-1}, as integer
+    lattices) needs no transformation log.  The `dd` rows show image <=
+    kernel.  The kernel of an integer matrix is saturated (it is its
+    rational span cut with the integers), and rank(kernel) = #rows -
+    rank(delta_{n-1}).  So the two lattices are equal exactly when the
+    image has that rank and is saturated too.  The image is saturated when
+    every pivot of its HNF is 1 (the minor on the pivot columns is
+    unitriangular), and otherwise exactly when its transposed basis spans
+    all of Z^rank.  Each `exactness` row also requires that the level's
+    codomain is the basis of the level below, in order (the relators at
+    level 3); `detail` names the first condition that failed."""
     import random
     rng = random.Random(seed)
     graph, pres = state.graph, state.presentation
@@ -298,6 +312,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
             "" if got == want else f"boundary {got.render()} != {want.render()}")
 
     fox = fox_matrix_map(pres, graph)
+    dd_ok: dict[int, bool] = {}
     for n in sorted(state.levels):
         level = state.levels[n]
         lower = state.levels.get(n - 1)
@@ -312,6 +327,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                     "" if w.is_empty() else
                     f"boundary2 of delta3 reduces to {w.render()}, not 1")
         # dd = 0 for stored boundaries
+        dd_ok[n] = True
         for sym, _tag in level.basis:
             if n == 3:
                 img = apply_map(graph, fox, level.boundary[sym])
@@ -319,6 +335,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 img = apply_map(graph, lower.boundary, level.boundary[sym])
             add("dd", n, sym, not img,
                 "" if not img else "delta(delta(sym)) != 0")
+            dd_ok[n] = dd_ok[n] and not img
         # retraction: delta_n(xi tag) == candidate form, all tags
         name = "retr32" if n == 3 else "retr4"
         for cand in level.candidates:
@@ -339,23 +356,30 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 add("retr5", n, _tag_text(graph, (h, prev)), ok,
                     "" if ok else "translated lookup mismatch")
 
-    # exactness: image of delta_{n+1} equals kernel of delta_n
-    levels = sorted(state.levels)
-    for n in levels:
+    # exactness: image of delta_n equals kernel of delta_{n-1}, by rank
+    # and saturation (see the docstring)
+    below = pres.relator_names()
+    below_rank = Lattice(len(pres.generators) * graph.order,
+                         map_rows(graph, below, pres.generators, fox)).rank
+    for n in sorted(state.levels):
         level = state.levels[n]
         image = Lattice(len(level.codomain) * graph.order,
                         map_rows(graph, [s for s, _ in level.basis],
                                  level.codomain, level.boundary))
-        if n == 3:
-            kern = kernel_lattice(graph, list(pres.relator_names()),
-                                  list(pres.generators), fox)
+        want = image.ambient - below_rank
+        if level.codomain != below:
+            detail = "codomain is not the basis of the level below"
+        elif not dd_ok[n]:
+            detail = "image not in kernel"
+        elif image.rank != want:
+            detail = f"image rank {image.rank} != kernel rank {want}"
+        elif not image.is_saturated():
+            detail = "image lattice is not saturated"
         else:
-            lower = state.levels[n - 1]
-            kern = kernel_lattice(graph, [s for s, _ in lower.basis],
-                                  lower.codomain, lower.boundary)
-        ok = image == kern
+            detail = ""
         add("exactness", n - 1, f"image(delta{n}) vs kernel(delta{n - 1})",
-            ok, "" if ok else "image lattice != kernel lattice")
+            not detail, detail)
+        below, below_rank = [s for s, _ in level.basis], image.rank
 
     return all(r[3] for r in rows), rows
 

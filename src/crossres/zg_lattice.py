@@ -142,6 +142,18 @@ class Lattice:
         residue, _ = self._reduce(vec)
         return not any(residue)
 
+    def is_saturated(self) -> bool:
+        """Whether the lattice is its rational span cut with the integers.
+        It is when every HNF pivot is 1, since the minor on the pivot
+        columns is then unitriangular.  Otherwise it is exactly when the
+        rank-sized minors have gcd 1, that is when the transposed basis
+        spans Z^rank.  That basis has full rank, so its HNF is then the
+        identity: every pivot 1 again."""
+        if all(row[p] == 1 for row, p in zip(self.rows, self.pivots)):
+            return True
+        dual = Lattice(self.rank, zip(*self.rows))
+        return all(row[p] == 1 for row, p in zip(dual.rows, dual.pivots))
+
     def solve(self, vec):
         residue, coeffs = self._reduce(vec)
         return None if any(residue) else coeffs
@@ -166,9 +178,11 @@ class IntSpan:
     inputs had been added has length k; the later inputs' coefficients
     are zero.  Padded to `size`, the log rows and the relations form a
     unimodular matrix, so the relations span every relation among the
-    inputs."""
+    inputs.  `supports[i]` is input i as its sparse support, a list of
+    (position, value)."""
 
-    __slots__ = ("ambient", "rows", "pivots", "log", "relations", "size")
+    __slots__ = ("ambient", "rows", "pivots", "log", "relations", "size",
+                 "supports")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
@@ -177,6 +191,7 @@ class IntSpan:
         self.log: list[list[int]] = []
         self.relations: list[list[int]] = []
         self.size = 0
+        self.supports: list[list[tuple[int, int]]] = []
 
     def _reduce(self, vec):
         v = list(vec)
@@ -200,6 +215,7 @@ class IntSpan:
         log = [row + pad for row in self.log]
         log += [[0] * (size + i) + [1] + [0] * (k - 1 - i) for i in range(k)]
         rows = self.rows + [list(v) for v in vecs]
+        self.supports += [[(p, a) for p, a in enumerate(v) if a] for v in vecs]
         pivots = _hnf_in_place(rows, self.ambient, log)
         rank = len(pivots)
         self.rows = rows[:rank]
@@ -219,23 +235,23 @@ class OrbitLattice(Lattice):
 
     `span` is an IntSpan into which exactly these input rows were added,
     in this order, such as the one `reduce_level` grows; the lattice takes
-    its HNF, log and relations.  Without it, the lattice fills its own
-    span, one generator's translates at a time."""
+    its HNF, log, relations and input supports.  Without it, the lattice
+    fills its own span, one generator's translates at a time."""
 
     __slots__ = ("graph", "basis", "gens", "expr_rows", "kernel_rows",
                  "kernel_pivots", "_supports")
 
     def __init__(self, graph, basis, gens, span=None):
         n = graph.order
-        inputs = [expand(graph, basis, m.translated(graph, g))
-                  for m in gens for g in range(n)]
+        n_inputs = len(gens) * n
         if span is None:
             span = IntSpan(len(basis) * n)
-            for j in range(len(gens)):
-                span.add(*inputs[j * n:(j + 1) * n])
-        elif span.size != len(inputs):
+            for m in gens:
+                span.add(*(expand(graph, basis, m.translated(graph, g))
+                           for g in range(n)))
+        elif span.size != n_inputs:
             raise ValueError(f"span holds {span.size} input rows, "
-                             f"the generators have {len(inputs)} translates")
+                             f"the generators have {n_inputs} translates")
         self.ambient = span.ambient
         self.rows = tuple(tuple(r) for r in span.rows)
         self.pivots = tuple(span.pivots)
@@ -243,11 +259,10 @@ class OrbitLattice(Lattice):
         self.basis = basis
         self.gens = list(gens)
         self.expr_rows = tuple(tuple(r) for r in span.log)
-        kernel = [r + [0] * (len(inputs) - len(r)) for r in span.relations]
-        self.kernel_pivots = tuple(_hnf_in_place(kernel, len(inputs), echelon=True))
+        kernel = [r + [0] * (n_inputs - len(r)) for r in span.relations]
+        self.kernel_pivots = tuple(_hnf_in_place(kernel, n_inputs, echelon=True))
         self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
-        # each input row as its sparse support [(position, value)]
-        self._supports = [[(p, v) for p, v in enumerate(row) if v] for row in inputs]
+        self._supports = span.supports
 
 
 def _greedy_certificate(lat: OrbitLattice, vec):

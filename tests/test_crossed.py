@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossres import (CrossedElt, EMPTY, GroupRingElt, IDENTITY_CROSSED,
-                      ModuleElt, ZERO_MODULE, abelianise, act, apply_map,
-                      boundary2, crossed, inv, mult, parse_crossed,
-                      parse_word, render_crossed, unit, word)
+                      ModuleElt, Word, ZERO_MODULE, abelianise, act,
+                      apply_map, boundary2, crossed, inv, mult, parse_crossed,
+                      parse_presentation, parse_word, render_crossed, unit,
+                      word)
+from conftest import data_path
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])
 conjugators = st.lists(letters, max_size=4).map(
@@ -150,3 +152,51 @@ def test_apply_map_matches_immutable_sum(s3_graph, image_r, image_s, m, g, cance
     got = apply_map(s3_graph, mapping, m)
     assert got == apply_map_reference(s3_graph, mapping, m)
     assert all(ring and all(ring.coeffs.values()) for _, ring in got.items())
+
+
+def boundary2_reference(a, pres):
+    """The product form of delta_2: every factor's contribution is
+    multiplied onto the running word, which is re-reduced each time."""
+    out = EMPTY
+    for name, sign, u in a.factors:
+        w = pres.relator_word(name)
+        if sign == -1:
+            w = w.inv()
+        out = out * u.inv() * w * u
+    return out
+
+
+def _presentation_file(name):
+    with open(data_path(name)) as fh:
+        return parse_presentation(fh.read(), name)
+
+
+PRESENTATIONS = [_presentation_file("s3.pres"), _presentation_file("q8.pres")]
+
+
+def relator_conjugators(pres):
+    """Conjugators that start with a prefix of a relator or with the
+    inverse of a relator suffix, then go on at random, so that u^-1 r u
+    cancels at its junctions; and plain random ones."""
+    rels = [w.letters for _, w in pres.relators]
+    prefix = st.sampled_from(rels).flatmap(
+        lambda ls: st.integers(0, len(ls)).map(lambda k: list(ls[:k])))
+    inverse_suffix = st.sampled_from(rels).flatmap(
+        lambda ls: st.integers(0, len(ls)).map(
+            lambda k: [(x, -e) for x, e in reversed(ls[k:])]))
+    head = st.one_of(prefix, inverse_suffix, st.just([]))
+    return st.tuples(head, st.lists(letters, max_size=3)).map(
+        lambda t: Word(t[0] + t[1]))
+
+
+def crossed_over(pres):
+    factor = st.tuples(st.sampled_from(pres.relator_names()),
+                       st.sampled_from([1, -1]), relator_conjugators(pres))
+    return st.lists(factor, max_size=6).map(CrossedElt)
+
+
+@given(st.sampled_from(PRESENTATIONS).flatmap(
+    lambda pres: st.tuples(st.just(pres), crossed_over(pres))))
+def test_boundary2_matches_product_reference(case):
+    pres, a = case
+    assert boundary2(a, pres) == boundary2_reference(a, pres)

@@ -1,7 +1,7 @@
 import pytest
 
 from crossres import (BarResolution, ModuleElt, Presentation,
-                      bar_check_boundaries, bar_check_homotopy, bar_delta,
+                      bar_check_boundaries, bar_check_homotopy,
                       bar_homotopy, boundary2, cyclic_ring,
                       cyclic_resolution, enumerate_presentation, export_json,
                       import_json, verify_state, word)
@@ -37,14 +37,14 @@ class TestBarStructure:
         graph = c4_bar.graph
         for a in range(graph.order):
             for b in range(graph.order):
-                w = bar_delta(2, (a, b), c4_bar)
+                w = c4_bar.delta(2, (a, b))
                 assert c4_bar.phi_word(w) == 0
 
     def test_delta_validates_arity(self, c4_bar):
         with pytest.raises(ValueError):
-            bar_delta(3, (1, 2), c4_bar)
+            c4_bar.delta(3, (1, 2))
         with pytest.raises(ValueError):
-            bar_delta(1, (1,), c4_bar)
+            c4_bar.delta(1, (1,))
 
     def test_homotopy_shapes(self, c4_bar):
         assert bar_homotopy(0, (2,), c4_bar) == c4_bar.h0(2)
@@ -66,13 +66,13 @@ class TestBarChecks:
         pres = s3_bar.presentation
         # delta2(delta3) trivial on a sample of triples
         for (a, b, c) in [(1, 2, 3), (3, 3, 3), (0, 1, 0), (4, 5, 2)]:
-            w = boundary2(bar_delta(3, (a, b, c), s3_bar), pres)
+            w = boundary2(s3_bar.delta(3, (a, b, c)), pres)
             assert w.is_empty()
         # delta3(delta4) = 0 via abelianised pair forms on a sample
         ab3 = {(a, b, c): s3_bar.delta3_ab(a, b, c)
                for a in range(6) for b in range(6) for c in range(6)}
         for tup in [(1, 2, 3, 4), (5, 5, 5, 5), (0, 2, 0, 2)]:
-            m = bar_delta(4, tup, s3_bar)
+            m = s3_bar.delta(4, tup)
             total = ModuleElt({})
             for tau, ring in m.items():
                 for g, coeff in ring.items():
@@ -82,9 +82,9 @@ class TestBarChecks:
 
     def test_degenerate_tuples_kept(self, c4_bar):
         # tuples containing the identity are genuine basis elements
-        m = bar_delta(4, (0, 1, 0, 2), c4_bar)
+        m = c4_bar.delta(4, (0, 1, 0, 2))
         assert m.support_size() > 0
-        w = boundary2(bar_delta(3, (0, 0, 0), c4_bar), c4_bar.presentation)
+        w = boundary2(c4_bar.delta(3, (0, 0, 0)), c4_bar.presentation)
         assert w.is_empty()
 
 

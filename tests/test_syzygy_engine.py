@@ -327,3 +327,88 @@ def _logged_hnf_reference(lat):
         return [{g: v[j * n + g] for g in range(n) if v[j * n + g]}
                 for j in range(len(lat.gens))]
     return certificate
+
+
+def _reference_exactness(state):
+    """The lattice comparison verify_state used to make: each level's
+    image lattice against the kernel lattice of the level below, the
+    kernel taken from a logged HNF.  One ok flag per level."""
+    graph, pres = state.graph, state.presentation
+    flags = []
+    for n in sorted(state.levels):
+        level = state.levels[n]
+        image = zg_lattice.Lattice(
+            len(level.codomain) * graph.order,
+            zg_lattice.map_rows(graph, [s for s, _ in level.basis],
+                                level.codomain, level.boundary))
+        if n == 3:
+            kern = kernel_lattice(graph, list(pres.relator_names()),
+                                  list(pres.generators),
+                                  fox_matrix_map(pres, graph))
+        else:
+            lower = state.levels[n - 1]
+            kern = kernel_lattice(graph, [s for s, _ in lower.basis],
+                                  lower.codomain, lower.boundary)
+        flags.append(image == kern)
+    return flags
+
+
+def _double_first(level):
+    sym = level.basis[0][0]
+    level.boundary[sym] = ModuleElt(
+        {s: r.scaled(2) for s, r in level.boundary[sym].coords.items()})
+
+
+def _drop_first(level):
+    # the boundary of the dropped symbol stays, so dd and the retraction
+    # rows still resolve it; only the basis list loses it
+    level.basis = level.basis[1:]
+
+
+def _sum_of_two(level):
+    (a, _), (b, _) = level.basis[:2]
+    level.boundary[a] = level.boundary[a] + level.boundary[b]
+
+
+_EXACTNESS_STATES = {
+    "s3-L5": lambda: s3_config(max_level=5),
+    "q8-L5": lambda: RunConfig(presentation=data_path("q8.pres"), max_level=5),
+    "sl23-L5": lambda: RunConfig(presentation=data_path("sl23.pres"),
+                                 max_level=5, h1=data_path("sl23.h1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACTNESS_STATES))
+def test_exactness_matches_kernel_reference(name):
+    """The rank-and-saturation exactness check agrees with the old
+    image == kernel_lattice comparison, row by row, on every level of a
+    built state and on faulty copies of it.  At each level in turn: the
+    first boundary doubled, the first basis entry dropped (the codomain
+    above then names a symbol the basis lacks), and the first boundary
+    replaced by the sum of the first two.  At the top level, doubling the
+    first generator keeps dd = 0, so only saturation can fail there.  The
+    overall verdict is the one the old check gives with the same other
+    rows, and every condition is seen to fail at least once."""
+    text = export_json(build_state(_EXACTNESS_STATES[name]()))
+    top = max(import_json(text).levels)
+    cases = [(None, None)] + [(n, fault) for n in range(3, top + 1)
+                              for fault in (_double_first, _drop_first,
+                                            _sum_of_two)]
+    details = set()
+    for n, fault in cases:
+        state = import_json(text)
+        if fault is not None:
+            fault(state.levels[n])
+        ok, rows = verify_state(state, samples=2)
+        exact = [r for r in rows if r[0] == "exactness"]
+        reference = _reference_exactness(state)
+        assert [r[3] for r in exact] == reference, (n, fault, exact)
+        others = all(r[3] for r in rows if r[0] != "exactness")
+        assert ok == (others and all(reference)), (n, fault)
+        details.update(r[4] for r in exact if not r[3])
+        if n == top and fault is _double_first and not exact[-1][3]:
+            assert exact[-1][4] == "image lattice is not saturated"
+    prefixes = ("codomain is not", "image not in kernel", "image rank",
+                "image lattice is not saturated")
+    assert {p for p in prefixes for d in details if d.startswith(p)} \
+        == set(prefixes)

@@ -229,13 +229,16 @@ def _dot(coeffs, rows, width):
 def test_int_span_log_and_relations(matrix, batches):
     """Added in batches, the span's log rows give its HNF rows and its
     relations give zero, and the relations span the same lattice as the
-    relation rows of one identity-logged HNF over all inputs."""
+    relation rows of one identity-logged HNF over all inputs.  It keeps
+    every input's sparse support, in input order."""
     width, raw = matrix
     span, start = IntSpan(width), 0
     for size in batches + [len(raw)]:
         span.add(*raw[start:start + size])
         start += size
     assert span.size == len(raw)
+    assert span.supports == [[(p, a) for p, a in enumerate(v) if a]
+                             for v in raw]
     for row, log in zip(span.rows, span.log):
         assert _dot(log, raw, width) == row
     for rel in span.relations:

@@ -26,10 +26,8 @@ from .group_core import (
     Presentation,
     CayleyGraph,
     enumerate_presentation,
-    load_table,
     MaximalTree,
     bfs_tree,
-    tree_from_file,
     Contraction0,
     render_zg,
 )
@@ -49,6 +47,13 @@ from .crossed import (
     apply_map,
     render_crossed,
     parse_crossed,
+)
+from .inputs import (
+    InputError,
+    parse_presentation,
+    parse_order_file,
+    tree_from_file,
+    load_table,
 )
 from .zg_lattice import (
     expand,
@@ -86,17 +91,13 @@ from .syzygy_engine import (
 )
 from .oracles import (
     BarResolution,
-    bar_homotopy,
     bar_check_boundaries,
     bar_check_homotopy,
     cyclic_ring,
     cyclic_resolution,
 )
 from .cli import (
-    InputError,
     RunConfig,
-    parse_presentation,
-    parse_order_file,
     build_state,
     run,
     main,
@@ -106,11 +107,13 @@ __all__ = [
     "Letter", "Word", "EMPTY", "word", "parse_word",
     "GroupRingElt", "ZERO_ZG", "zg_unit", "fox_derivative",
     "PresentationError", "EnumerationOverflow", "TableError", "TreeError",
-    "Presentation", "CayleyGraph", "enumerate_presentation", "load_table",
-    "MaximalTree", "bfs_tree", "tree_from_file", "Contraction0", "render_zg",
+    "Presentation", "CayleyGraph", "enumerate_presentation",
+    "MaximalTree", "bfs_tree", "Contraction0", "render_zg",
     "Factor", "CrossedElt", "IDENTITY_CROSSED", "crossed", "mult", "inv",
     "act", "boundary2", "ModuleElt", "ZERO_MODULE", "unit", "abelianise",
     "apply_map", "render_crossed", "parse_crossed",
+    "InputError", "parse_presentation", "parse_order_file",
+    "tree_from_file", "load_table",
     "expand", "unexpand", "Lattice", "OrbitLattice",
     "member_solve", "kernel_lattice",
     "FillError", "FillLimits", "DEFAULT_LIMITS", "fill_loop",
@@ -120,11 +123,10 @@ __all__ = [
     "order_candidates", "reduce_level", "extend_resolution",
     "fox_matrix_map", "verify_state", "export_json", "import_json",
     "render_tables",
-    "BarResolution", "bar_homotopy",
+    "BarResolution",
     "bar_check_boundaries", "bar_check_homotopy",
     "cyclic_ring", "cyclic_resolution",
-    "InputError", "RunConfig", "parse_presentation", "parse_order_file",
-    "build_state", "run", "main",
+    "RunConfig", "build_state", "run", "main",
 ]
 
 __version__ = "1.0.0"

@@ -1,20 +1,5 @@
-"""Command-line front end.
-
-Input files:
-
-  presentation   `gens: x y` line, then `rel <name> = <word>` lines.
-                 Words are whitespace-separated tokens with caret powers
-                 (`x^3`, `x^-1`); the bare token `1` is the empty word.
-                 Relator words must be freely reduced as written.
-  tree file      one edge per line: `<element-word> <generator>`.
-  h1 file        one non-tree edge per line:
-                 `<element-word> <generator> := <consequence>`.
-  order file     `[level N]` sections list candidate tags (one
-                 `<element-word> <name>` per line) to be reduced first,
-                 in the listed order; `[xi N]` sections pin certificate
-                 representatives for rejected tags:
-                 `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`.
-                 Pins are validated by exact replay against the boundary.
+"""Command-line front end.  The input file formats are described in
+`inputs`.
 
 Exit status: 0 on success (and, with --verify, all checks passing),
 1 when --verify finds a failure, 2 on any input or configuration error.
@@ -27,191 +12,12 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .group_core import Contraction0, Presentation, PresentationError, \
-    bfs_tree, enumerate_presentation, tree_from_file
+from .group_core import Contraction0, bfs_tree, enumerate_presentation
+from .inputs import InputError, parse_order_file, parse_presentation, read_text, \
+    tree_from_file
 from .logged_rewriter import DEFAULT_LIMITS, FillLimits, build_h1
 from .syzygy_engine import ResolutionState, export_json, extend_resolution, \
     render_tables, verify_state
-from .words import Word, parse_letters, parse_word
-
-
-class InputError(ValueError):
-    """A problem with user-supplied files or options (exit status 2)."""
-
-
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
-def parse_presentation(text: str, source: str = "<presentation>") -> Presentation:
-    """Parse the presentation grammar; errors carry line numbers."""
-    gens = None
-    relators = []
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        if line.startswith("gens:"):
-            if gens is not None:
-                raise InputError(f"{where}: duplicate `gens:` line")
-            gens = tuple(line[len("gens:"):].split())
-            if not gens:
-                raise InputError(f"{where}: `gens:` line names no generators")
-            continue
-        tokens = line.split()
-        if tokens[0] != "rel":
-            raise InputError(
-                f"{where}: expected `gens: ...` or `rel <name> = <word>`")
-        if gens is None:
-            raise InputError(f"{where}: `gens:` line must come first")
-        head, sep, body = line.partition("=")
-        head_tokens = head.split()
-        if not sep or len(head_tokens) != 2:
-            raise InputError(f"{where}: expected `rel <name> = <word>`")
-        name = head_tokens[1]
-        if name in seen:
-            raise InputError(f"{where}: duplicate relator name {name!r}")
-        seen.add(name)
-        word_text = body.strip()
-        try:
-            letters = parse_letters(word_text, set(gens))
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from None
-        w = Word(letters)
-        if w.is_empty():
-            raise InputError(f"{where}: relator {name!r} is empty")
-        if len(w) != len(letters):
-            raise InputError(
-                f"{where}: relator {name!r} is not freely reduced as written")
-        relators.append((name, w))
-    if gens is None:
-        raise InputError(f"{source}: missing `gens:` line")
-    try:
-        return Presentation(gens, relators)
-    except PresentationError as exc:
-        raise InputError(f"{source}: {exc}") from None
-
-
-def _parse_tag(tokens, graph, where):
-    """`<element-word ...> <name>` -> (element index, name)."""
-    if len(tokens) < 2:
-        raise InputError(f"{where}: expected `<element-word> <name>`")
-    name = tokens[-1]
-    try:
-        g = graph.elt_by_name(" ".join(tokens[:-1]))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
-    return (g, name)
-
-
-def _parse_pin_terms(text, graph, where):
-    """`[-] sym @ <element-word> [+/- sym @ <element-word> ...]`, with an
-    optional integer multiplier before each symbol."""
-    tokens = text.split()
-    terms = []
-    i = 0
-    sign = 1
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("+", "-"):
-            sign = 1 if tok == "+" else -1
-            i += 1
-            continue
-        coeff = sign
-        try:
-            coeff = sign * int(tok)
-            i += 1
-        except ValueError:
-            pass
-        if i >= len(tokens):
-            raise InputError(f"{where}: dangling term in certificate pin")
-        sym_tok = tokens[i]
-        i += 1
-        if "@" in sym_tok:
-            sym, _, word_start = sym_tok.partition("@")
-        else:
-            sym, word_start = sym_tok, ""
-            if i < len(tokens) and tokens[i].startswith("@"):
-                word_start = tokens[i][1:]
-                i += 1
-            else:
-                raise InputError(
-                    f"{where}: expected `@ <element-word>` after {sym!r}")
-        if not sym:
-            raise InputError(f"{where}: missing symbol in certificate pin")
-        word_tokens = [word_start] if word_start else []
-        while i < len(tokens) and tokens[i] not in ("+", "-"):
-            word_tokens.append(tokens[i])
-            i += 1
-        if not word_tokens:
-            raise InputError(f"{where}: missing element word after {sym!r}")
-        try:
-            w = parse_word(" ".join(word_tokens), graph.gens)
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}") from None
-        terms.append((coeff, sym, w))
-        sign = 1
-    if not terms:
-        raise InputError(f"{where}: empty certificate pin")
-    return terms
-
-
-def parse_order_file(path, graph):
-    """-> (explicit tag lists per level, certificate pins per level)."""
-    explicit: dict[int, list] = {}
-    overrides: dict[int, dict] = {}
-    section = None  # ("level" | "xi", n)
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = _strip(raw)
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if line.startswith("["):
-                if not line.endswith("]"):
-                    raise InputError(f"{where}: malformed section header")
-                tokens = line[1:-1].split()
-                if len(tokens) != 2 or tokens[0] not in ("level", "xi"):
-                    raise InputError(
-                        f"{where}: expected `[level N]` or `[xi N]`")
-                try:
-                    n = int(tokens[1])
-                except ValueError:
-                    raise InputError(f"{where}: bad level number") from None
-                if n < 3:
-                    raise InputError(f"{where}: levels start at 3")
-                table = explicit if tokens[0] == "level" else overrides
-                if n in table:
-                    raise InputError(f"{where}: duplicate [{tokens[0]} {n}] section")
-                table[n] = [] if tokens[0] == "level" else {}
-                section = (tokens[0], n)
-                continue
-            if section is None:
-                raise InputError(f"{where}: line outside any section")
-            kind, n = section
-            if kind == "level":
-                tag = _parse_tag(line.split(), graph, where)
-                if tag in explicit[n]:
-                    raise InputError(
-                        f"{where}: duplicate tag in [level {n}] section")
-                explicit[n].append(tag)
-            else:
-                head, sep, body = line.partition(":=")
-                if not sep:
-                    raise InputError(
-                        f"{where}: expected `<element-word> <name> := <terms>`")
-                tag = _parse_tag(head.split(), graph, where)
-                if tag in overrides[n]:
-                    raise InputError(
-                        f"{where}: duplicate certificate pin in [xi {n}] section")
-                overrides[n][tag] = _parse_pin_terms(body.strip(), graph, where)
-    return explicit, overrides
 
 
 @dataclass
@@ -231,19 +37,13 @@ class RunConfig:
 def build_state(config: RunConfig) -> ResolutionState:
     if config.max_level < 3:
         raise InputError("--max-level must be at least 3")
-    try:
-        with open(config.presentation) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    pres = parse_presentation(text, config.presentation)
+    pres = parse_presentation(read_text(config.presentation), config.presentation)
     graph = enumerate_presentation(pres, config.max_cosets)
     tree = (bfs_tree(graph) if config.tree == "bfs"
             else tree_from_file(config.tree, graph))
     contraction = Contraction0(graph, tree)
     limits = FillLimits(max_depth=config.max_depth)
-    h1 = build_h1(contraction, "search" if config.h1 == "search" else config.h1,
-                  limits)
+    h1 = build_h1(contraction, config.h1, limits)
     state = ResolutionState(pres, graph, tree, contraction, h1)
     policy, explicit, overrides = "declared", None, None
     if config.order == "support":

@@ -263,47 +263,6 @@ def enumerate_presentation(pres: Presentation, max_cosets: int = 100000) -> Cayl
     return graph
 
 
-def load_table(path, pres: Presentation) -> CayleyGraph:
-    """Load a Cayley table: |G| rows of |X| whitespace-separated element
-    indices, row g column k holding g.phi(x_k).  Row 0 is the identity.
-
-    Validates that every column is a permutation, the action is transitive
-    from 0, every relator fixes every vertex, and all Schreier elements act
-    trivially (a transitive action with those properties is the regular
-    action of some quotient of the presented group; a proper quotient's own
-    regular table is indistinguishable without enumerating, which this
-    loader deliberately avoids).
-    """
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                raise TableError(f"{path}:{lineno}: non-integer entry") from None
-            if len(row) != len(pres.generators):
-                raise TableError(
-                    f"{path}:{lineno}: expected {len(pres.generators)} entries, "
-                    f"got {len(row)}")
-            rows.append(row)
-    n = len(rows)
-    if n == 0:
-        raise TableError(f"{path}: empty table")
-    for g, row in enumerate(rows):
-        for k, h in enumerate(row):
-            if not 0 <= h < n:
-                raise TableError(f"{path}: entry {h} out of range at row {g}")
-    for k, name in enumerate(pres.generators):
-        if sorted(row[k] for row in rows) != list(range(n)):
-            raise TableError(f"{path}: column for generator {name!r} is not a permutation")
-    graph = CayleyGraph(pres, rows)
-    _validate_graph(graph)
-    return graph
-
-
 def _validate_graph(graph: CayleyGraph):
     pres = graph.presentation
     for rname, w in pres.relators:
@@ -371,32 +330,6 @@ def bfs_tree(graph: CayleyGraph) -> MaximalTree:
                 seen[h] = True
                 edges.append((g, k))
                 queue.append(h)
-    return MaximalTree(graph, edges)
-
-
-def tree_from_file(path, graph: CayleyGraph) -> MaximalTree:
-    """Load tree edges, one per line: `<element-word> <generator>`."""
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) < 2:
-                raise TreeError(f"{path}:{lineno}: expected `<element-word> <generator>`")
-            gen_name = tokens[-1]
-            try:
-                k = graph.gen_index(gen_name)
-            except KeyError:
-                raise TreeError(f"{path}:{lineno}: unknown generator {gen_name!r}") from None
-            try:
-                g = graph.elt_by_name(" ".join(tokens[:-1]))
-            except ValueError as exc:
-                raise TreeError(f"{path}:{lineno}: {exc}") from None
-            edges.append((g, k))
-    if len(edges) != len(set(edges)):
-        raise TreeError(f"{path}: duplicate tree edge")
     return MaximalTree(graph, edges)
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossed import CrossedElt, IDENTITY_CROSSED, boundary2, inv, mult, parse_crossed
+from .crossed import CrossedElt, IDENTITY_CROSSED, boundary2, inv, mult
 from .group_core import Contraction0
+from .inputs import h1_entries, whole_file
 from .words import Word, word
 
 
@@ -214,8 +215,7 @@ class H1Table:
 def build_h1(contraction: Contraction0, source="search",
              limits: FillLimits = DEFAULT_LIMITS) -> H1Table:
     """Build the h1 table: `source` is "search" (fill every non-tree edge's
-    rho by fill_loop) or a path to an override file with lines
-    `<element-word> <generator> := <consequence text>`."""
+    rho by fill_loop) or the path of an h1 file (format in `inputs`)."""
     graph = contraction.graph
     if source == "search":
         entries = {}
@@ -231,38 +231,9 @@ def build_h1(contraction: Contraction0, source="search",
                         f"h1 search failed at edge ({graph.elt_name(g)!r}, "
                         f"{graph.gens[k]}): {exc}") from None
         return H1Table(contraction, entries)
-    return _h1_from_file(contraction, source)
-
-
-def _h1_from_file(contraction: Contraction0, path) -> H1Table:
-    graph = contraction.graph
-    names = set(graph.presentation.relator_names())
-    entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head, sep, body = line.partition(":=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected `<edge> := <consequence>`")
-            tokens = head.split()
-            if len(tokens) < 2:
-                raise ValueError(f"{path}:{lineno}: expected `<element-word> <generator>`")
-            try:
-                k = graph.gen_index(tokens[-1])
-                g = graph.elt_by_name(" ".join(tokens[:-1]))
-                c = parse_crossed(body.strip(), names, graph.gens)
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if (g, k) in entries:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate h1 entry for edge "
-                    f"({graph.elt_name(g)!r}, {graph.gens[k]})")
-            entries[(g, k)] = c
-    entries = {e: c for e, c in entries.items()
-               if not (e in contraction.tree and c.is_trivial())}
-    return H1Table(contraction, entries)
+    entries = h1_entries(source, contraction)
+    with whole_file(source):
+        return H1Table(contraction, entries)
 
 
 def h1_eval(table: H1Table, g: int, u: Word) -> CrossedElt:

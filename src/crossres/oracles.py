@@ -165,18 +165,6 @@ class BarResolution:
         return total
 
 
-def bar_homotopy(n: int, based, bar: BarResolution):
-    """h_n of a based basis element (base, a_1, ..., a_n) as a flat tuple:
-    for n = 0 the path from the base to the base point; for n >= 1 the
-    (n+1)-tuple basis element obtained by absorbing the base."""
-    based = tuple(based)
-    if len(based) != n + 1:
-        raise ValueError(f"h_{n} needs a based {n}-tuple, got {based!r}")
-    if n == 0:
-        return bar.h0(based[0])
-    return based
-
-
 # ---------------------------------------------------------------------------
 # executable checks
 

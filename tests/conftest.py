@@ -2,8 +2,8 @@ import os
 
 import pytest
 
-from crossres import (Contraction0, Presentation, RunConfig, bfs_tree,
-                      build_h1, build_state, enumerate_presentation,
+from crossres import (Contraction0, InputError, Presentation, RunConfig,
+                      bfs_tree, build_h1, build_state, enumerate_presentation,
                       parse_word)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -19,6 +19,20 @@ def s3_config(**kw) -> RunConfig:
                     order=data_path("s3.order"))
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def assert_input_errors(read, path, cases):
+    """read(path) raises InputError for each (file text, message) case,
+    and the message is the file's path followed by the case's message
+    prefix (`:line: ...` or `: ...`).  A missing file is an InputError."""
+    for text, prefix in cases:
+        path.write_text(text)
+        with pytest.raises(InputError) as err:
+            read(str(path))
+        assert str(err.value).startswith(f"{path}{prefix}"), text
+    path.unlink()
+    with pytest.raises(InputError):
+        read(str(path))
 
 
 @pytest.fixture(scope="session")

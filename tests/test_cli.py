@@ -155,6 +155,9 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error:" in err and "bad.pres:2" in err
         assert main([str(tmp_path / "missing.pres")]) == 2
+        bad.write_bytes(b"gens: x\n\xff\n")  # not UTF-8
+        assert main([str(bad)]) == 2
+        assert f"error: {bad}:" in capsys.readouterr().err
         assert main([data_path("s3.pres"), "--max-level", "1"]) == 2
         assert main([data_path("s3.pres"), "--max-cosets", "2"]) == 2
 

@@ -2,10 +2,10 @@ import pytest
 
 from crossres import (CayleyGraph, Contraction0, EnumerationOverflow,
                       GroupRingElt, MaximalTree, Presentation,
-                      PresentationError, TableError, TreeError, bfs_tree,
+                      PresentationError, TreeError, bfs_tree,
                       enumerate_presentation, load_table, parse_word,
                       parse_presentation, render_zg, tree_from_file, word)
-from conftest import data_path
+from conftest import assert_input_errors, data_path
 
 
 def cyclic(r):
@@ -127,28 +127,15 @@ class TestLoadTable:
 
     def test_rejects_bad_tables(self, tmp_path):
         pres = cyclic(4)
-
-        bad = tmp_path / "t.txt"
-        bad.write_text("1\n2\n3\n3\n")  # column not a permutation
-        with pytest.raises(TableError):
-            load_table(str(bad), pres)
-
-        bad.write_text("1 2\n")  # wrong entry count
-        with pytest.raises(TableError):
-            load_table(str(bad), pres)
-
-        bad.write_text("1\nq\n")  # non-integer
-        with pytest.raises(TableError):
-            load_table(str(bad), pres)
-
-        bad.write_text("")  # empty
-        with pytest.raises(TableError):
-            load_table(str(bad), pres)
-
-        # a permutation table on which the relator does not act trivially
-        bad.write_text("1\n0\n3\n2\n")
-        with pytest.raises(TableError):
-            load_table(str(bad), pres)
+        assert_input_errors(lambda p: load_table(p, pres), tmp_path / "t.txt", [
+            ("1\n2\n3\n3\n", ": column for generator 'x' is not a permutation"),
+            ("1 2\n", ":1: expected 1 entries, got 2"),
+            ("1\nq\n", ":2: non-integer entry"),
+            ("", ": empty table"),
+            # permutation tables: not transitive, and x^4 moving a point
+            ("1\n0\n3\n2\n", ": action is not transitive from the identity"),
+            ("1\n2\n0\n", ": relator r does not fix element '1'"),
+        ])
 
 
 class TestTrees:
@@ -170,13 +157,13 @@ class TestTrees:
                 [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0)]))
 
     def test_tree_file_errors(self, s3_graph, tmp_path):
-        bad = tmp_path / "t.tree"
-        bad.write_text("1 z\n")
-        with pytest.raises(TreeError):
-            tree_from_file(str(bad), s3_graph)
-        bad.write_text("1 x\n1 x\nx^2 x\ny x\nx y x\n")
-        with pytest.raises(TreeError):
-            tree_from_file(str(bad), s3_graph)
+        read = lambda p: tree_from_file(p, s3_graph)  # noqa: E731
+        assert_input_errors(read, tmp_path / "t.tree", [
+            ("1 z\n", ":1: unknown generator 'z'"),
+            ("1 x\n1 x\nx^2 x\ny x\nx y x\n", ":2: duplicate tree edge"),
+            ("1 x\n1 y\n", ": tree needs 5 edges, got 2"),
+            ("1 x\nx x\nx^2 x\n1 y\ny x\n", ": tree edges contain a cycle"),
+        ])
 
 
 class TestContraction:

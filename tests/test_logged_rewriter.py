@@ -6,7 +6,7 @@ from crossres import (Contraction0, CrossedElt, DEFAULT_LIMITS,
                       bfs_tree, boundary2, build_h1, enumerate_presentation,
                       fill_loop, h1_eval, mult, parse_presentation,
                       parse_word, tree_from_file, word)
-from conftest import data_path
+from conftest import assert_input_errors, data_path
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])
 raw_words = st.lists(letters, max_size=6).map(
@@ -67,21 +67,14 @@ class TestBuildH1:
     def test_file_errors(self, s3_graph, tmp_path):
         con = Contraction0(s3_graph,
                            tree_from_file(data_path("s3.tree"), s3_graph))
-        bad = tmp_path / "bad.h1"
-
-        bad.write_text("x x = r^+1@1\n")  # missing :=
-        with pytest.raises(ValueError):
-            build_h1(con, str(bad))
-
-        bad.write_text("x x := s^+1@1\n")  # wrong consequence boundary
-        with pytest.raises(ValueError):
-            build_h1(con, str(bad))
-
-        # duplicate entry
         good_line = "x x := r^+1@1\n"
-        bad.write_text(good_line + good_line)
-        with pytest.raises(ValueError):
-            build_h1(con, str(bad))
+        assert_input_errors(lambda p: build_h1(con, p), tmp_path / "bad.h1", [
+            ("x x = r^+1@1\n", ":1: expected `<edge> := <consequence>`"),
+            ("x q := r^+1@1\n", ":1: unknown generator 'q'"),
+            ("x x := s^+1@1\n", ": h1 entry at edge ('x', x) has boundary"),
+            (good_line + good_line, ":2: duplicate h1 entry"),
+            (good_line, ": missing h1 entry for non-tree edge"),
+        ])
 
     def test_table_validation(self, s3_contraction, s3_presentation):
         h1 = build_h1(s3_contraction, "search")

@@ -2,7 +2,7 @@ import pytest
 
 from crossres import (BarResolution, ModuleElt, Presentation,
                       bar_check_boundaries, bar_check_homotopy,
-                      bar_homotopy, boundary2, cyclic_ring,
+                      boundary2, cyclic_ring,
                       cyclic_resolution, enumerate_presentation, export_json,
                       import_json, verify_state, word)
 
@@ -45,13 +45,6 @@ class TestBarStructure:
             c4_bar.delta(3, (1, 2))
         with pytest.raises(ValueError):
             c4_bar.delta(1, (1,))
-
-    def test_homotopy_shapes(self, c4_bar):
-        assert bar_homotopy(0, (2,), c4_bar) == c4_bar.h0(2)
-        assert bar_homotopy(1, (2, 3), c4_bar) == (2, 3)
-        assert bar_homotopy(3, (1, 2, 3, 0), c4_bar) == (1, 2, 3, 0)
-        with pytest.raises(ValueError):
-            bar_homotopy(2, (1, 2), c4_bar)
 
 
 class TestBarChecks:

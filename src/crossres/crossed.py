@@ -166,17 +166,28 @@ def apply_map(graph, mapping: dict, m: ModuleElt) -> ModuleElt:
     return ModuleElt({s: GroupRingElt(row) for s, row in out.items()})
 
 
-def render_crossed(a: CrossedElt) -> str:
-    """Factor text `r^+1@u` / `r^-1@u`, whitespace-joined; trivial -> `1`."""
+def render_crossed(a: CrossedElt, words=None) -> str:
+    """Factor text `r^+1@u` / `r^-1@u`, whitespace-joined; trivial -> `1`.
+    `words`, a dict Word -> text that a caller keeps across its calls,
+    renders each distinct conjugator once."""
     if not a.factors:
         return "1"
-    return " ".join(
-        f"{name}^{'+1' if sign == 1 else '-1'}@{u.render()}" for name, sign, u in a.factors)
+    words = {} if words is None else words
+    parts = []
+    for name, sign, u in a.factors:
+        text = words.get(u)
+        if text is None:
+            text = words[u] = u.render()
+        parts.append(f"{name}^{'+1' if sign == 1 else '-1'}@{text}")
+    return " ".join(parts)
 
 
-def parse_crossed(text: str, relator_names=None, generators=None) -> CrossedElt:
+def parse_crossed(text: str, relator_names=None, generators=None,
+                  words=None) -> CrossedElt:
     """Inverse of render_crossed.  A token containing `@` starts a factor;
-    subsequent @-free tokens continue that factor's conjugator word."""
+    subsequent @-free tokens continue that factor's conjugator word.
+    `words`, a dict text -> Word that a caller keeps across its calls with
+    the same generators, parses each distinct conjugator text once."""
     tokens = text.split()
     if tokens == ["1"]:
         return IDENTITY_CROSSED
@@ -188,6 +199,7 @@ def parse_crossed(text: str, relator_names=None, generators=None) -> CrossedElt:
             groups[-1].append(tok)
         else:
             raise ValueError(f"malformed consequence text {text!r}")
+    words = {} if words is None else words
     factors = []
     for group in groups:
         head, _, u_start = group[0].partition("@")
@@ -197,5 +209,8 @@ def parse_crossed(text: str, relator_names=None, generators=None) -> CrossedElt:
         if relator_names is not None and name not in relator_names:
             raise ValueError(f"unknown relator {name!r} in {text!r}")
         u_text = " ".join([u_start] + group[1:])
-        factors.append((name, 1 if sign_text == "+1" else -1, parse_word(u_text, generators)))
+        u = words.get(u_text)
+        if u is None:
+            u = words[u_text] = parse_word(u_text, generators)
+        factors.append((name, 1 if sign_text == "+1" else -1, u))
     return CrossedElt(factors)

@@ -162,7 +162,8 @@ class CayleyGraph:
     fwd[g][k] / bwd[g][k] give g.phi(x_k) and g.phi(x_k)^-1; word_rep[g] is
     the breadth-first shortlex positive word for g (word_rep[0] is empty).
     _names[g] is word_rep[g] rendered, and _by_name inverts it.
-    _right[b], once filled by mult, is the column h -> h.b.
+    _right[b] is the column h -> h.b, filled at construction by the same
+    breadth-first search as word_rep[b].
     """
 
     __slots__ = ("presentation", "gens", "order", "fwd", "bwd", "word_rep", "_inv",
@@ -179,28 +180,32 @@ class CayleyGraph:
             for k in range(ngens):
                 bwd[fwd[g][k]][k] = g
         self.bwd = bwd
-        self.word_rep = self._bfs_words()
-        inv = [0] * n
-        for g in range(n):
-            inv[g] = self.eval_word(self.word_rep[g].inv())
-        self._inv = inv
+        self.word_rep, self._right = self._bfs_words()
+        # every column is a permutation (fwd's columns are), so each holds 0
+        self._inv = [col.index(0) for col in self._right]
         self._names = [w.render() for w in self.word_rep]
         self._by_name = {name: g for g, name in enumerate(self._names)}
-        self._right = [None] * n
 
     def _bfs_words(self):
-        reps: list = [None] * self.order
+        """(word_rep, _right): when word_rep[h] is set to word_rep[g].x_k,
+        the column of h is the column of g followed by x_k, which is
+        eval_word(word_rep[h], .) by construction."""
+        n, fwd = self.order, self.fwd
+        reps: list = [None] * n
+        right: list = [None] * n
         reps[0] = EMPTY
+        right[0] = list(range(n))
         queue = [0]
         for g in queue:
             for k, name in enumerate(self.gens):
-                h = self.fwd[g][k]
+                h = fwd[g][k]
                 if reps[h] is None:
                     reps[h] = reps[g] * word(name)
+                    right[h] = [fwd[v][k] for v in right[g]]
                     queue.append(h)
         if any(r is None for r in reps):
             raise TableError("action is not transitive from the identity")
-        return reps
+        return reps, right
 
     def gen_index(self, name: str) -> int:
         try:
@@ -224,11 +229,7 @@ class CayleyGraph:
         return self.apply(0, self.gen_index(name), sign)
 
     def mult(self, a: int, b: int) -> int:
-        col = self._right[b]
-        if col is None:
-            rep = self.word_rep[b]
-            col = self._right[b] = [self.eval_word(rep, h) for h in range(self.order)]
-        return col[a]
+        return self._right[b][a]
 
     def inv_elt(self, g: int) -> int:
         return self._inv[g]
@@ -271,16 +272,15 @@ def _validate_graph(graph: CayleyGraph):
                 raise TableError(
                     f"relator {rname} does not fix element {graph.elt_name(g)!r}")
     # Schreier elements t_g x t_{gx}^-1 must act trivially for the action
-    # to be regular.
+    # to be regular, that is v.t_g.x = v.t_{gx} for every v: the column of
+    # g followed by x is the column of gx.
+    fwd, right = graph.fwd, graph._right
     for g in range(graph.order):
         for k, name in enumerate(pres.generators):
-            h = graph.fwd[g][k]
-            s = graph.word_rep[g] * word(name) * graph.word_rep[h].inv()
-            for v in range(graph.order):
-                if graph.eval_word(s, v) != v:
-                    raise TableError(
-                        f"action is not regular: Schreier element at "
-                        f"({graph.elt_name(g)!r}, {name}) moves a point")
+            if [fwd[v][k] for v in right[g]] != right[fwd[g][k]]:
+                raise TableError(
+                    f"action is not regular: Schreier element at "
+                    f"({graph.elt_name(g)!r}, {name}) moves a point")
 
 
 class MaximalTree:

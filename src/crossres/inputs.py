@@ -8,7 +8,8 @@ File formats (`#` starts a comment; blank lines are ignored):
                  Relator words must be freely reduced as written.
   tree file      one edge per line: `<element-word> <generator>`.
   h1 file        one non-tree edge per line:
-                 `<element-word> <generator> := <consequence>`.
+                 `<element-word> <generator> := <consequence>`; a tree
+                 edge may be listed only as `:= 1`.
   order file     `[level N]` sections list candidate tags (one
                  `<element-word> <name>` per line) to be reduced first,
                  in the listed order; `[xi N]` sections pin certificate
@@ -139,8 +140,9 @@ def tree_from_file(path, graph: CayleyGraph) -> MaximalTree:
 
 
 def h1_entries(path, contraction) -> dict:
-    """The h1 file's entries, {(g, k): consequence}, without the trivial
-    entries it lists for tree arrows.  H1Table checks their boundaries."""
+    """The h1 file's entries, {(g, k): consequence}, without the entries
+    it lists for tree arrows, which must be trivial (h1 is the empty
+    consequence there).  H1Table checks the boundaries of the rest."""
     graph = contraction.graph
     names = set(graph.presentation.relator_names())
     entries = {}
@@ -157,9 +159,12 @@ def h1_entries(path, contraction) -> dict:
             raise InputError(
                 f"{where}: duplicate h1 entry for edge "
                 f"({graph.elt_name(g)!r}, {graph.gens[k]})")
+        if (g, k) in contraction.tree and not c.is_trivial():
+            raise InputError(
+                f"{where}: h1 entry for tree edge "
+                f"({graph.elt_name(g)!r}, {graph.gens[k]}) must be 1")
         entries[(g, k)] = c
-    return {e: c for e, c in entries.items()
-            if not (e in contraction.tree and c.is_trivial())}
+    return {e: c for e, c in entries.items() if e not in contraction.tree}
 
 
 def load_table(path, pres: Presentation) -> CayleyGraph:
@@ -173,7 +178,7 @@ def load_table(path, pres: Presentation) -> CayleyGraph:
     regular table is indistinguishable without enumerating, which this
     loader deliberately avoids).
     """
-    rows = []
+    rows, wheres = [], []
     for where, line in _lines(read_text(path), path):
         try:
             row = [int(tok) for tok in line.split()]
@@ -183,13 +188,14 @@ def load_table(path, pres: Presentation) -> CayleyGraph:
             raise InputError(
                 f"{where}: expected {len(pres.generators)} entries, got {len(row)}")
         rows.append(row)
+        wheres.append(where)
     n = len(rows)
     if n == 0:
         raise InputError(f"{path}: empty table")
-    for g, row in enumerate(rows):
+    for where, row in zip(wheres, rows):
         for h in row:
             if not 0 <= h < n:
-                raise InputError(f"{path}: entry {h} out of range at row {g}")
+                raise InputError(f"{where}: entry {h} out of range 0..{n - 1}")
     for k, name in enumerate(pres.generators):
         if sorted(row[k] for row in rows) != list(range(n)):
             raise InputError(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .crossed import (CrossedElt, ModuleElt, ZERO_MODULE, abelianise, act,
                       apply_map, boundary2, crossed, inv, mult, parse_crossed,
@@ -402,8 +403,40 @@ def _parse_module(graph, data) -> ModuleElt:
     return ModuleElt(coords)
 
 
+def _emit(node, pad, out):
+    """Append to `out` the text json.dumps(node, sort_keys=True, indent=1)
+    gives for a tree of str, list and dict nested `pad` deep; any other
+    type is a TypeError.  (json.dumps with an indent runs the pure-Python
+    encoder; this emitter does the same work with less overhead.)"""
+    if isinstance(node, str):
+        out.append(encode_basestring_ascii(node))
+        return
+    if isinstance(node, dict):
+        items, open_, close = sorted(node.items()), "{", "}"
+    elif isinstance(node, list):
+        items, open_, close = node, "[", "]"
+    else:
+        raise TypeError(f"cannot emit {type(node).__name__} as JSON")
+    if not items:
+        out.append(open_ + close)
+        return
+    inner = pad + " "
+    sep = open_ + "\n" + inner
+    for item in items:
+        out.append(sep)
+        if open_ == "{":
+            key, item = item
+            out.append(encode_basestring_ascii(key) + ": ")
+        _emit(item, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + close)
+
+
 def export_json(state: ResolutionState) -> str:
+    """state.json text: the bytes of json.dumps(doc, sort_keys=True,
+    indent=1) plus a final newline."""
     graph, pres = state.graph, state.presentation
+    words: dict = {}  # conjugator Word -> text, for this call only
     doc = {
         "schema": SCHEMA,
         "group": {"order": str(graph.order),
@@ -414,7 +447,7 @@ def export_json(state: ResolutionState) -> str:
         },
         "tree": [[graph.elt_name(g), graph.gens[k]]
                  for g, k in sorted(state.tree.edges)],
-        "h1": {f"{graph.elt_name(g)} {graph.gens[k]}": render_crossed(c)
+        "h1": {f"{graph.elt_name(g)} {graph.gens[k]}": render_crossed(c, words)
                for (g, k), c in sorted(state.h1.entries.items())},
         "levels": {},
     }
@@ -435,13 +468,16 @@ def export_json(state: ResolutionState) -> str:
                    for tag in sorted(level.xi)},
         }
         if level.crossed:
-            entry["crossed"] = {sym: render_crossed(level.crossed[sym])
+            entry["crossed"] = {sym: render_crossed(level.crossed[sym], words)
                                 for sym, _ in level.basis}
             entry["candidates_crossed"] = {
                 f"{graph.elt_name(c.tag[0])} {c.tag[1]}":
-                render_crossed(c.crossed_form) for c in level.candidates}
+                render_crossed(c.crossed_form, words) for c in level.candidates}
         doc["levels"][str(n)] = entry
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    out: list[str] = []
+    _emit(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def import_json(text: str) -> ResolutionState:
@@ -460,11 +496,12 @@ def import_json(text: str) -> ResolutionState:
     tree = MaximalTree(graph, edges)
     contraction = Contraction0(graph, tree)
     rel_names = set(pres.relator_names())
+    words: dict = {}  # conjugator text -> Word, for this call only
     entries = {}
     for key, ctext in doc["h1"].items():
         head, gen = key.rsplit(" ", 1)
         entries[(graph.elt_by_name(head), graph.gen_index(gen))] = \
-            parse_crossed(ctext, rel_names, gens)
+            parse_crossed(ctext, rel_names, gens, words)
     state = ResolutionState(pres, graph, tree, contraction,
                             H1Table(contraction, entries))
     for ntext, entry in sorted(doc["levels"].items(), key=lambda kv: int(kv[0])):
@@ -475,7 +512,7 @@ def import_json(text: str) -> ResolutionState:
                     for sym, _ in basis}
         crossed_forms = None
         if "crossed" in entry:
-            crossed_forms = {sym: parse_crossed(ctext, rel_names, gens)
+            crossed_forms = {sym: parse_crossed(ctext, rel_names, gens, words)
                              for sym, ctext in entry["crossed"].items()}
         cands = []
         for c in entry["candidates"]:
@@ -484,7 +521,7 @@ def import_json(text: str) -> ResolutionState:
             if "candidates_crossed" in entry:
                 cf = parse_crossed(
                     entry["candidates_crossed"][f"{c['tag'][0]} {c['tag'][1]}"],
-                    rel_names, gens)
+                    rel_names, gens, words)
             cands.append(Candidate(tag, _parse_module(graph, c["form"]), cf))
         xi = {}
         for key, data in entry["xi"].items():

@@ -59,15 +59,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("name", ["s3.pres", "q8.pres", "c4.pres"])
     def test_mult_matches_its_definition(self, name):
-        # a fresh graph, so every right-multiplication column starts empty
+        # a fresh graph: every right-multiplication column is filled at
+        # construction, before any mult
         with open(data_path(name)) as fh:
             graph = enumerate_presentation(parse_presentation(fh.read(), name))
         n = graph.order
         for b in range(n):
             want = [graph.eval_word(graph.word_rep[b], a) for a in range(n)]
-            assert graph._right[b] is None
-            assert [graph.mult(a, b) for a in range(n)] == want
-            assert graph._right[b] is not None
+            assert graph._right[b] == want
             assert [graph.mult(a, b) for a in range(n)] == want
 
     def test_relators_act_trivially(self, s3_graph, s3_presentation):
@@ -135,6 +134,15 @@ class TestLoadTable:
             # permutation tables: not transitive, and x^4 moving a point
             ("1\n0\n3\n2\n", ": action is not transitive from the identity"),
             ("1\n2\n0\n", ": relator r does not fix element '1'"),
+            # the file line, not the row index
+            ("# c4\n1\n2\n\n3\n9\n", ":6: entry 9 out of range"),
+        ])
+        # S3 on the 3 cosets of <y>: transitive, relators fix every point
+        with open(data_path("s3.pres")) as fh:
+            s3 = parse_presentation(fh.read(), "s3.pres")
+        assert_input_errors(lambda p: load_table(p, s3), tmp_path / "t.txt", [
+            ("1 0\n2 2\n0 1\n", ": action is not regular: Schreier element "
+             "at ('1', y) moves a point"),
         ])
 
 

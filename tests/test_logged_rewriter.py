@@ -74,6 +74,9 @@ class TestBuildH1:
             ("x x := s^+1@1\n", ": h1 entry at edge ('x', x) has boundary"),
             (good_line + good_line, ":2: duplicate h1 entry"),
             (good_line, ": missing h1 entry for non-tree edge"),
+            # an identity among relations on a tree edge, where h1 is 1
+            ("1 x := r^+1@1 r^-1@x\n",
+             ":1: h1 entry for tree edge ('1', x) must be 1"),
         ])
 
     def test_table_validation(self, s3_contraction, s3_presentation):

@@ -1,7 +1,10 @@
+import glob
 import hashlib
 import json
+import os
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crossres import (GroupRingElt, ModuleElt, RunConfig, abelianise, apply_map,
                       boundary2, build_state, compute_delta3, export_json,
@@ -141,6 +144,34 @@ class TestHomotopyEval:
                     == xi[(g, "r")]
 
 
+_REPLAY_STATES = sorted(glob.glob(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir,
+    "bench", "data", "replay", "*.json")))
+
+json_trees = st.recursive(
+    st.text(), lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids))
+
+
+def emitted(doc):
+    out = []
+    syzygy_engine._emit(doc, "", out)
+    return "".join(out)
+
+
+class TestJsonEmitter:
+    @given(json_trees)
+    @example({})
+    @example([])
+    @example({"": [], "b": {}, "a": ["\u00e9\u4e2d\U0001d11e", '"', "\\", "\x00\x1f\n\t\x7f"]})
+    def test_matches_json_dumps(self, doc):
+        assert emitted(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("doc", [1, 1.5, ["x", 2], {"x": 0.5}, {1: "x"}])
+    def test_rejects_other_types(self, doc):
+        with pytest.raises(TypeError):
+            emitted(doc)
+
+
 class TestVerifyAndSerialize:
     def test_verify_fixture(self, s3_state):
         ok, rows = verify_state(s3_state)
@@ -184,6 +215,13 @@ class TestVerifyAndSerialize:
         respelled = json.dumps(doc)
         assert '"y^2 x"' in respelled
         assert export_json(import_json(respelled)) == text
+
+    @pytest.mark.parametrize("path", _REPLAY_STATES,
+                             ids=[os.path.basename(p) for p in _REPLAY_STATES])
+    def test_frozen_states_re_export_byte_for_byte(self, path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert export_json(import_json(data.decode())).encode() == data
 
     def test_import_rejects_corruption(self, s3_state):
         text = export_json(s3_state)

@@ -120,13 +120,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write tables.txt, state.json (and verify.txt) to DIR")
     args = parser.parse_args(argv)
-    config = RunConfig(
-        presentation=args.presentation, max_level=args.max_level,
-        tree=args.tree, h1=args.h1, order=args.order,
-        max_depth=args.max_depth, max_cosets=args.max_cosets,
-        format=args.format, verify=args.verify, out=args.out)
     try:
-        return run(config)
+        return run(RunConfig(**vars(args)))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

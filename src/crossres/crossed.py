@@ -11,7 +11,7 @@ on the identity submodule) together with boundary2.
 
 from __future__ import annotations
 
-from .words import EMPTY, GroupRingElt, Word, parse_word
+from .words import EMPTY, ZERO_ZG, GroupRingElt, Word, parse_word
 
 Factor = tuple[str, int, Word]
 
@@ -100,7 +100,7 @@ class ModuleElt:
     def __add__(self, other):
         out = dict(self.coords)
         for sym, c in other.coords.items():
-            out[sym] = out.get(sym, ZERO) + c
+            out[sym] = out.get(sym, ZERO_ZG) + c
         return ModuleElt(out)
 
     def __neg__(self):
@@ -121,9 +121,6 @@ class ModuleElt:
     def items(self):
         return sorted(self.coords.items())
 
-    def get(self, sym) -> GroupRingElt:
-        return self.coords.get(sym, ZERO)
-
     def translated(self, graph, g: int) -> "ModuleElt":
         return ModuleElt({sym: c.translated(graph, g) for sym, c in self.coords.items()})
 
@@ -134,7 +131,6 @@ class ModuleElt:
         return f"ModuleElt({self.coords!r})"
 
 
-ZERO = GroupRingElt()
 ZERO_MODULE = ModuleElt()
 
 

@@ -322,7 +322,7 @@ def cyclic_ring(graph: CayleyGraph, n: int) -> GroupRingElt:
     return GroupRingElt({g: 1 for g in range(graph.order)})
 
 
-def cyclic_resolution(r: int, n_max: int, max_cosets: int = 100000) -> ResolutionState:
+def cyclic_resolution(r: int, n_max: int) -> ResolutionState:
     """The rank-one resolution of the cyclic group of order r, through
     level n_max, built directly from its closed form: level 2 is the free
     crossed module on the single relator x^r, and each higher level has one
@@ -334,7 +334,7 @@ def cyclic_resolution(r: int, n_max: int, max_cosets: int = 100000) -> Resolutio
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     pres = Presentation(("x",), (("r", Word((("x", 1),) * r)),))
-    graph = enumerate_presentation(pres, max_cosets)
+    graph = enumerate_presentation(pres)
     tree = bfs_tree(graph)
     contraction = Contraction0(graph, tree)
     state = ResolutionState(pres, graph, tree, contraction,
@@ -366,12 +366,7 @@ def _add_cyclic_level(state: ResolutionState, n: int):
             out[g] = out.get(g, 0) + 1
         return GroupRingElt(out)
 
-    candidates, xi, symbol_of_tag = [], {}, {}
-    accepted_i = r - 1 if odd else 1
-    boundary_ring = (GroupRingElt({t: 1, 0: -1}) if odd else nring(r))
-    boundary = {sym: ModuleElt({prev: boundary_ring})}
-    crossed_forms = {} if n == 3 else None
-    basis = []
+    candidates, xi = [], {}
     for i in range(r):
         tag = (tpow(i), prev)
         if odd:
@@ -386,12 +381,6 @@ def _add_cyclic_level(state: ResolutionState, n: int):
             crossed = CrossedElt((("r", -1, EMPTY),
                                   ("r", 1, Word((("x", -1),) * i))))
         candidates.append(Candidate(tag, form, crossed))
-        if i == accepted_i:
-            symbol_of_tag[tag] = sym
-            basis.append((sym, tag))
-            if n == 3:
-                crossed_forms[sym] = crossed
-        else:
-            symbol_of_tag[tag] = None
-    state.levels[n] = Level(n, [prev], basis, boundary, crossed_forms,
-                            candidates, xi, symbol_of_tag)
+    # the kept candidate's form is prev . cyclic_ring(graph, n)
+    kept = candidates[r - 1 if odd else 1].tag
+    state.levels[n] = Level(n, [prev], [(sym, kept)], candidates, xi)

@@ -35,7 +35,7 @@ from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
 from .logged_rewriter import H1Table, h1_eval
 from .words import GroupRingElt, Word, fox_derivative, parse_word
 from .zg_lattice import IntSpan, Lattice, OrbitLattice, expand, map_rows, \
-    member_solve
+    member_solve, orbit_rows
 # unused here; bench/tracing.py looks it up in this module to time it
 from .zg_lattice import kernel_lattice  # noqa: F401
 
@@ -53,22 +53,28 @@ class Candidate:
 
 class Level:
     """One computed resolution level: ordered candidates, the accepted
-    basis, boundaries of accepted symbols, and the retraction log xi
-    (= the homotopy table used to build the next level)."""
+    basis, and the retraction log xi (= the homotopy table used to build
+    the next level).
 
-    __slots__ = ("n", "codomain", "basis", "boundary", "crossed",
-                 "candidates", "xi", "symbol_of_tag")
+    `boundary` and `symbol_of_tag` are derived from the candidates when
+    the level is made: a kept symbol's boundary is its tag's candidate
+    form, and every candidate tag maps to its kept symbol or to None.  At
+    level 3 a kept symbol's crossed boundary is likewise its candidate's
+    `crossed_form`."""
 
-    def __init__(self, n, codomain, basis, boundary, crossed, candidates,
-                 xi, symbol_of_tag):
+    __slots__ = ("n", "codomain", "basis", "boundary", "candidates", "xi",
+                 "symbol_of_tag")
+
+    def __init__(self, n, codomain, basis, candidates, xi):
         self.n = n
         self.codomain = codomain        # previous level's basis names
         self.basis = basis              # list of (symbol, tag)
-        self.boundary = boundary        # symbol -> ModuleElt over codomain
-        self.crossed = crossed          # symbol -> CrossedElt (level 3) or None
         self.candidates = candidates    # list of Candidate, reduction order
         self.xi = xi                    # tag -> ModuleElt over this basis
-        self.symbol_of_tag = symbol_of_tag  # tag -> symbol | None
+        form = {c.tag: c.form for c in candidates}
+        self.boundary = {sym: form[tag] for sym, tag in basis}
+        self.symbol_of_tag = dict.fromkeys(form)
+        self.symbol_of_tag.update((tag, sym) for sym, tag in basis)
 
 
 class ResolutionState:
@@ -81,10 +87,6 @@ class ResolutionState:
         self.contraction: Contraction0 = contraction
         self.h1: H1Table = h1
         self.levels: dict[int, Level] = {}
-
-    @property
-    def max_level(self):
-        return max(self.levels) if self.levels else 2
 
 
 def compute_delta3(state: ResolutionState, g: int, rname: str) -> CrossedElt:
@@ -167,23 +169,13 @@ def reduce_level(state: ResolutionState, n: int, candidates,
     codomain = (list(state.presentation.relator_names()) if n == 3
                 else [sym for sym, _ in state.levels[n - 1].basis])
     span = IntSpan(len(codomain) * graph.order)
-    accepted: list[Candidate] = []
-    symbol_of_tag: dict[Tag, str | None] = {}
-    basis, boundary, crossed_forms = [], {}, {}
+    basis: list[tuple[str, Tag]] = []
     for cand in candidates:
-        vec = expand(graph, codomain, cand.form)
-        if span.contains(vec):
-            symbol_of_tag[cand.tag] = None
-            continue
-        sym = f"b{n}_{len(accepted) + 1}"
-        symbol_of_tag[cand.tag] = sym
-        accepted.append(cand)
-        basis.append((sym, cand.tag))
-        boundary[sym] = cand.form
-        if cand.crossed_form is not None:
-            crossed_forms[sym] = cand.crossed_form
-        span.add(*(expand(graph, codomain, cand.form.translated(graph, g))
-                   for g in range(graph.order)))
+        if not span.contains(expand(graph, codomain, cand.form)):
+            basis.append((f"b{n}_{len(basis) + 1}", cand.tag))
+            span.add(*orbit_rows(graph, codomain, cand.form))
+    level = Level(n, codomain, basis, list(candidates), {})
+    symbol_of_tag = level.symbol_of_tag
 
     if cert_overrides:
         stray = [tag for tag in cert_overrides if tag not in symbol_of_tag]
@@ -195,12 +187,11 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                 f"certificate pins for tags that are not rejected at "
                 f"level {n}: {names}")
 
-    lattice = OrbitLattice(graph, codomain, [c.form for c in accepted], span)
-    xi: dict[Tag, ModuleElt] = {}
+    lattice = OrbitLattice(graph, codomain, list(level.boundary.values()), span)
     for cand in candidates:
         sym = symbol_of_tag[cand.tag]
         if sym is not None:
-            xi[cand.tag] = unit(sym)
+            level.xi[cand.tag] = unit(sym)
             continue
         override = (cert_overrides or {}).get(cand.tag)
         if override is not None:
@@ -214,15 +205,11 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                     f"inconsistent")
             cert = ModuleElt({sym: ring for (sym, _), ring
                               in zip(basis, solved) if ring})
-        if apply_map(state.graph, boundary, cert) != cand.form:
+        if apply_map(state.graph, level.boundary, cert) != cand.form:
             raise ValueError(
                 f"certificate for tag {_tag_text(graph, cand.tag)} does not "
                 f"replay to the candidate form")
-        xi[cand.tag] = cert
-
-    level = Level(n, codomain, basis, boundary,
-                  crossed_forms if n == 3 else None, list(candidates),
-                  xi, symbol_of_tag)
+        level.xi[cand.tag] = cert
     state.levels[n] = level
     return level
 
@@ -467,9 +454,10 @@ def export_json(state: ResolutionState) -> str:
                    _render_module(graph, level.xi[tag])
                    for tag in sorted(level.xi)},
         }
-        if level.crossed:
-            entry["crossed"] = {sym: render_crossed(level.crossed[sym], words)
-                                for sym, _ in level.basis}
+        by_tag = {c.tag: c for c in level.candidates}
+        kept = [(sym, by_tag[tag].crossed_form) for sym, tag in level.basis]
+        if any(c is not None for _, c in kept):
+            entry["crossed"] = {sym: render_crossed(c, words) for sym, c in kept}
             entry["candidates_crossed"] = {
                 f"{graph.elt_name(c.tag[0])} {c.tag[1]}":
                 render_crossed(c.crossed_form, words) for c in level.candidates}
@@ -508,12 +496,6 @@ def import_json(text: str) -> ResolutionState:
         n = int(ntext)
         basis = [(b["symbol"], (graph.elt_by_name(b["tag"][0]), b["tag"][1]))
                  for b in entry["basis"]]
-        boundary = {sym: _parse_module(graph, entry["boundary"][sym])
-                    for sym, _ in basis}
-        crossed_forms = None
-        if "crossed" in entry:
-            crossed_forms = {sym: parse_crossed(ctext, rel_names, gens, words)
-                             for sym, ctext in entry["crossed"].items()}
         cands = []
         for c in entry["candidates"]:
             tag = (graph.elt_by_name(c["tag"][0]), c["tag"][1])
@@ -528,11 +510,18 @@ def import_json(text: str) -> ResolutionState:
             head, name = key.rsplit(" ", 1)
             xi[(graph.elt_by_name(head), name)] = \
                 _parse_module(graph, data)
-        symbol_of_tag = {tag: None for tag in xi}
+        # the Level derives a kept symbol's boundary (and level-3 crossed
+        # form) from its candidate, so the stored copies must agree
+        by_tag = {c.tag: c for c in cands}
         for sym, tag in basis:
-            symbol_of_tag[tag] = sym
-        state.levels[n] = Level(n, list(entry["codomain"]), basis, boundary,
-                                crossed_forms, cands, xi, symbol_of_tag)
+            cf = entry.get("crossed", {}).get(sym)
+            stored = (_parse_module(graph, entry["boundary"][sym]),
+                      cf and parse_crossed(cf, rel_names, gens, words))
+            cand = by_tag.get(tag)
+            if cand is None or stored != (cand.form, cand.crossed_form):
+                raise ValueError(f"level {n}: the stored boundary or crossed "
+                                 f"form of {sym} is not its candidate's")
+        state.levels[n] = Level(n, list(entry["codomain"]), basis, cands, xi)
     return state
 
 

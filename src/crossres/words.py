@@ -189,14 +189,6 @@ class GroupRingElt:
         """Right translation: sum c_h . h  ->  sum c_h . (h g)."""
         return GroupRingElt({graph.mult(h, g): c for h, c in self.coeffs.items()})
 
-    def ring_mul(self, graph, other: "GroupRingElt") -> "GroupRingElt":
-        out: dict[int, int] = {}
-        for h, c in self.coeffs.items():
-            for k, d in other.coeffs.items():
-                g = graph.mult(h, k)
-                out[g] = out.get(g, 0) + c * d
-        return GroupRingElt(out)
-
     def __repr__(self):
         return f"GroupRingElt({self.coeffs!r})"
 

@@ -111,6 +111,23 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
     return pivots
 
 
+def _reduce(rows, pivots, vec):
+    """Divide `vec` by echelon `rows` with the given pivot columns, in
+    order: subtract q times each row, q the floor quotient of the entry
+    in its pivot column.  Returns (residue, quotients).  With positive
+    pivots every pivot entry of the residue ends in [0, pivot).  An
+    echelon row is zero left of its pivot, so only the slice from the
+    pivot on is rewritten."""
+    v = list(vec)
+    quotients = []
+    for row, p in zip(rows, pivots):
+        q = v[p] // row[p]
+        if q:
+            v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
+        quotients.append(q)
+    return v, quotients
+
+
 class Lattice:
     """An integer row lattice in canonical Hermite normal form."""
 
@@ -127,19 +144,8 @@ class Lattice:
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vec):
-        """Returns (residue, coeffs over self.rows) after pivot division."""
-        v = list(vec)
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            q = v[p] // row[p]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-            coeffs.append(q)
-        return v, coeffs
-
     def contains(self, vec) -> bool:
-        residue, _ = self._reduce(vec)
+        residue, _ = _reduce(self.rows, self.pivots, vec)
         return not any(residue)
 
     def is_saturated(self) -> bool:
@@ -155,15 +161,12 @@ class Lattice:
         return all(row[p] == 1 for row, p in zip(dual.rows, dual.pivots))
 
     def solve(self, vec):
-        residue, coeffs = self._reduce(vec)
+        residue, coeffs = _reduce(self.rows, self.pivots, vec)
         return None if any(residue) else coeffs
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)
                 and self.ambient == other.ambient and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
 
 
 class IntSpan:
@@ -193,17 +196,9 @@ class IntSpan:
         self.size = 0
         self.supports: list[list[tuple[int, int]]] = []
 
-    def _reduce(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                q = v[p] // row[p]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
-        return v
-
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        residue, _ = _reduce(self.rows, self.pivots, vec)
+        return not any(residue)
 
     def add(self, *vecs):
         """Insert every given row, with one HNF over the old rows and the
@@ -247,8 +242,7 @@ class OrbitLattice(Lattice):
         if span is None:
             span = IntSpan(len(basis) * n)
             for m in gens:
-                span.add(*(expand(graph, basis, m.translated(graph, g))
-                           for g in range(n)))
+                span.add(*orbit_rows(graph, basis, m))
         elif span.size != n_inputs:
             raise ValueError(f"span holds {span.size} input rows, "
                              f"the generators have {n_inputs} translates")
@@ -341,34 +335,29 @@ def _hnf_certificate(lat: OrbitLattice, vec):
     for q, expr in zip(coeffs, lat.expr_rows):
         if q:
             v = [a + q * b for a, b in zip(v, expr)]
-    for row, p in zip(lat.kernel_rows, lat.kernel_pivots):
-        q = v[p] // row[p]
-        if q:
-            # an echelon row is zero left of its pivot
-            v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
+    v, _ = _reduce(lat.kernel_rows, lat.kernel_pivots, v)
     n = lat.graph.order
     return [{g: v[j * n + g] for g in range(n) if v[j * n + g]}
             for j in range(len(lat.gens))]
 
 
+def orbit_rows(graph, basis, m: ModuleElt) -> list[list[int]]:
+    """The |G| translates m.g, expanded over `basis`, in element order."""
+    return [expand(graph, basis, m.translated(graph, g))
+            for g in range(graph.order)]
+
+
 def map_rows(graph, dom_basis, codom_basis, mapping):
     """Expanded integer rows of the ZG-linear map b -> mapping[b], one row
     per (domain basis symbol, group element), generator-major order."""
-    rows = []
-    for sym in dom_basis:
-        image = mapping[sym]
-        for g in range(graph.order):
-            rows.append(expand(graph, codom_basis, image.translated(graph, g)))
-    return rows
+    return [row for sym in dom_basis
+            for row in orbit_rows(graph, codom_basis, mapping[sym])]
 
 
 def kernel_lattice(graph, dom_basis, codom_basis, mapping) -> Lattice:
     """HNF basis of the integer kernel of the expanded matrix of the map
-    (ZG)^dom -> (ZG)^codom sending b to mapping[b]."""
-    rows = map_rows(graph, dom_basis, codom_basis, mapping)
-    if not rows:
-        return Lattice(len(dom_basis) * graph.order, [])
-    mirror = [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))]
-    work = [list(r) for r in rows]
-    pivots = _hnf_in_place(work, len(codom_basis) * graph.order, mirror)
-    return Lattice(len(dom_basis) * graph.order, mirror[len(pivots):])
+    (ZG)^dom -> (ZG)^codom sending b to mapping[b]: the relations an
+    IntSpan collects while it takes in the rows of that matrix."""
+    span = IntSpan(len(codom_basis) * graph.order)
+    span.add(*map_rows(graph, dom_basis, codom_basis, mapping))
+    return Lattice(len(dom_basis) * graph.order, span.relations)

@@ -197,3 +197,21 @@ class TestMain:
             outputs.append(proc.stdout)
         first, second = outputs
         assert first and first == second
+
+
+def test_readme_library_snippet(monkeypatch, capsys):
+    """The README's Library example runs as written, from the repository
+    root: S3 at level 4 in automatic mode."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Library", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    scope: dict = {}
+    exec(snippet, scope)
+    level3 = scope["level3"]
+    assert level3.basis and level3.xi[(2, "r")] is not None
+    assert scope["ok"], [r for r in scope["rows"] if not r[3]]
+    out = capsys.readouterr().out
+    assert '"schema": "crossres-state/1"' in out

@@ -229,6 +229,14 @@ class TestVerifyAndSerialize:
             import_json(text.replace("crossres-state/1", "crossres-state/9"))
         with pytest.raises(ValueError):
             import_json(text.replace('"x y"', '"y^2 x"', 1))
+        # a kept symbol's stored crossed form or boundary that is not its
+        # candidate's is refused, naming the level and the symbol
+        for n, field in ((3, "crossed"), (4, "boundary")):
+            doc = json.loads(text)
+            stored = doc["levels"][str(n)][field]
+            stored[f"b{n}_1"] = stored[f"b{n}_2"]
+            with pytest.raises(ValueError, match=f"level {n}: .* b{n}_1 "):
+                import_json(json.dumps(doc))
 
     def test_render_tables_mentions_every_tag(self, s3_state):
         out = render_tables(s3_state)
@@ -361,7 +369,7 @@ def _logged_hnf_reference(lat):
         v = [0] * len(inputs)
         for q, expr in zip(coeffs, log[:rank]):
             v = [a + q * b for a, b in zip(v, expr)]
-        v, _ = kernel._reduce(v)
+        v, _ = zg_lattice._reduce(kernel.rows, kernel.pivots, v)
         return [{g: v[j * n + g] for g in range(n) if v[j * n + g]}
                 for j in range(len(lat.gens))]
     return certificate

@@ -107,13 +107,6 @@ class TestWithGraph:
                 assert (e.translated(s3_graph, g).translated(s3_graph, h)
                         == e.translated(s3_graph, gh))
 
-    def test_ring_mul_matches_translation(self, s3_graph):
-        e = GroupRingElt({0: 2, 3: -1})
-        assert e.ring_mul(s3_graph, zg_unit(1)) == e.translated(s3_graph, 1)
-        f = GroupRingElt({1: 1, 2: -1})
-        assert (e.ring_mul(s3_graph, f)
-                == e.translated(s3_graph, 1) - e.translated(s3_graph, 2))
-
     def test_fox_derivative_frozen(self, s3_graph):
         r, t = parse_word("x^3"), parse_word("x y x y")
         assert dict(fox_derivative(r, "x", s3_graph).items()) == {0: 1, 1: 1, 2: 1}

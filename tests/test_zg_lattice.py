@@ -8,7 +8,8 @@ from crossres import (GroupRingElt, Lattice, ModuleElt, OrbitLattice,
                       fox_matrix_map, kernel_lattice,
                       member_solve, unexpand, unit, word,
                       Presentation)
-from crossres.zg_lattice import IntSpan, _greedy_certificate, _hnf_in_place
+from crossres.zg_lattice import IntSpan, _greedy_certificate, _hnf_in_place, \
+    _reduce
 
 
 def test_expand_unexpand_round_trip(s3_graph):
@@ -214,7 +215,8 @@ def test_echelon_reduction_matches_hnf(matrix, data):
     assert all(not any(row) for row in rows[len(pivots):])
     assert Lattice(width, echelon) == lat
     vec = data.draw(st.lists(st.integers(-50, 50), min_size=width, max_size=width))
-    assert _reduce_modulo(echelon, pivots, vec) == lat._reduce(vec)[0]
+    assert (_reduce_modulo(echelon, pivots, vec)
+            == _reduce(lat.rows, lat.pivots, vec)[0])
 
 
 def _dot(coeffs, rows, width):

@@ -454,10 +454,12 @@ def export_json(state: ResolutionState) -> str:
                    _render_module(graph, level.xi[tag])
                    for tag in sorted(level.xi)},
         }
-        by_tag = {c.tag: c for c in level.candidates}
-        kept = [(sym, by_tag[tag].crossed_form) for sym, tag in level.basis]
-        if any(c is not None for _, c in kept):
-            entry["crossed"] = {sym: render_crossed(c, words) for sym, c in kept}
+        if n == 3:
+            # written even when no generator is kept, so an import gets
+            # back every candidate's crossed form
+            by_tag = {c.tag: c for c in level.candidates}
+            entry["crossed"] = {sym: render_crossed(by_tag[tag].crossed_form, words)
+                                for sym, tag in level.basis}
             entry["candidates_crossed"] = {
                 f"{graph.elt_name(c.tag[0])} {c.tag[1]}":
                 render_crossed(c.crossed_form, words) for c in level.candidates}

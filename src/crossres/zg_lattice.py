@@ -6,6 +6,16 @@ with ZG-certificates, kernel lattices, and canonical lattice equality.
 Everything is arbitrary-precision integer arithmetic on lists; a ModuleElt
 over basis B expands to a vector of length |B|.|G| with coordinate
 (b, g) at position index(b).|G| + g.
+
+These rows are sparse (mostly zeros, entries of a few bits), so the hot
+loops visit only nonzero entries: an HNF step updates a row only at the
+pivot row's nonzero columns, the HNF-fallback certificate combines and
+reduces over the nonzero (column, value) pairs that `OrbitLattice` lists
+once, and the greedy peel updates only the translates that touch the
+positions a move changes.  The HNF steps apply the same quotients in
+the same order as full-row updates, and the peel scores every move
+exactly as a rescan of every translate would, so every result is the
+same as with dense loops.
 """
 
 from __future__ import annotations
@@ -38,6 +48,11 @@ def unexpand(graph, basis, vec) -> ModuleElt:
     return ModuleElt(coords)
 
 
+def _nonzero(row, start=0):
+    """The (column, value) pairs of `row`'s nonzero entries from `start` on."""
+    return [(c, a) for c, a in enumerate(row[start:], start) if a]
+
+
 def _hnf_in_place(rows, width, mirror=None, echelon=False):
     """Row-style Hermite normal form by integer row operations.
 
@@ -50,19 +65,25 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
     the same pivot columns and pivot values, but not a canonical one.
     Skipping that reduction changes no row at or below the current pivot.
 
-    While column `col` is processed, rows r..m-1 are zero left of `col`,
-    and every operation subtracts a multiple of one of them (the pivot
-    row) or negates it.  So each operation on `rows` rewrites only the
-    slice [col:]: the entries left of it would stay unchanged anyway.
-    `mirror` rows have no zero prefix and are rewritten in full.
+    Every operation subtracts q times the pivot row from another row (or
+    negates the pivot row).  Subtracting q times a row changes a target
+    entry only where that row is nonzero, so each step lists the pivot
+    row's nonzero (column, value) pairs once and updates every target in
+    place at those columns only: `row[c] -= q * b`.  While column `col`
+    is processed the pivot row is zero left of `col`, so the list starts
+    there.  The same q are applied in the same order as a full-row
+    update would, so every row, and every `mirror` row, ends the same.
+    `mirror` rows have no zero prefix; the pivot's mirror row is listed
+    in full, and only once some target row actually changes.
 
     The row lists in `rows` and `mirror` are mutated in place, so callers
-    pass lists they own.
+    pass lists they own, with no list shared between two rows.
     """
     pivots = []
     r = 0
     m = len(rows)
     for col in range(width):
+        pairs = None
         # chain gcd steps down the column until one nonzero entry remains
         while True:
             best = None
@@ -75,39 +96,54 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
                 rows[r], rows[best] = rows[best], rows[r]
                 if mirror is not None:
                     mirror[r], mirror[best] = mirror[best], mirror[r]
-            pivot = rows[r]
-            tail = pivot[col:]
+            d = rows[r][col]
+            pairs = _nonzero(rows[r], col)
+            log_pairs = None
             done = True
             for i in range(r + 1, m):
                 row = rows[i]
                 if row[col]:
-                    q = row[col] // pivot[col]
-                    row[col:] = [a - q * b for a, b in zip(row[col:], tail)]
+                    q = row[col] // d
+                    for c, b in pairs:
+                        row[c] -= q * b
                     if mirror is not None:
-                        mirror[i] = [a - q * b for a, b in zip(mirror[i], mirror[r])]
+                        if log_pairs is None:
+                            log_pairs = _nonzero(mirror[r])
+                        target = mirror[i]
+                        for c, b in log_pairs:
+                            target[c] -= q * b
                     if row[col]:
                         done = False
             if done:
                 break
-        if r < m and rows[r][col]:
-            pivot = rows[r]
-            if pivot[col] < 0:
-                pivot[col:] = [-a for a in pivot[col:]]
+        if pairs is None:
+            continue
+        # the gcd pass that ended the loop left rows[r] as it listed it
+        pivot = rows[r]
+        if pivot[col] < 0:
+            pairs = [(c, -b) for c, b in pairs]
+            for c, b in pairs:
+                pivot[c] = b
+            if mirror is not None:
+                mirror[r] = [-a for a in mirror[r]]
+        d = pivot[col]
+        log_pairs = None
+        for i in range(0 if echelon else r):
+            row = rows[i]
+            q = row[col] // d
+            if q:
+                for c, b in pairs:
+                    row[c] -= q * b
                 if mirror is not None:
-                    mirror[r] = [-a for a in mirror[r]]
-            d = pivot[col]
-            tail = pivot[col:]
-            for i in range(0 if echelon else r):
-                row = rows[i]
-                q = row[col] // d
-                if q:
-                    row[col:] = [a - q * b for a, b in zip(row[col:], tail)]
-                    if mirror is not None:
-                        mirror[i] = [a - q * b for a, b in zip(mirror[i], mirror[r])]
-            pivots.append(col)
-            r += 1
-            if r == m:
-                break
+                    if log_pairs is None:
+                        log_pairs = _nonzero(mirror[r])
+                    target = mirror[i]
+                    for c, b in log_pairs:
+                        target[c] -= q * b
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
     return pivots
 
 
@@ -210,7 +246,7 @@ class IntSpan:
         log = [row + pad for row in self.log]
         log += [[0] * (size + i) + [1] + [0] * (k - 1 - i) for i in range(k)]
         rows = self.rows + [list(v) for v in vecs]
-        self.supports += [[(p, a) for p, a in enumerate(v) if a] for v in vecs]
+        self.supports += [_nonzero(v) for v in vecs]
         pivots = _hnf_in_place(rows, self.ambient, log)
         rank = len(pivots)
         self.rows = rows[:rank]
@@ -231,10 +267,18 @@ class OrbitLattice(Lattice):
     `span` is an IntSpan into which exactly these input rows were added,
     in this order, such as the one `reduce_level` grows; the lattice takes
     its HNF, log, relations and input supports.  Without it, the lattice
-    fills its own span, one generator's translates at a time."""
+    fills its own span, one generator's translates at a time.
+
+    The certificate searches read private sparse forms, derived once
+    here: `_expr_pairs` and `_kernel_pairs` hold the nonzero (column,
+    value) pairs of `expr_rows` and `kernel_rows` (a kernel row's first
+    pair is its pivot), `_supports` the input rows' pairs, `_weights`
+    their L1 norms, and `_by_position` maps each position to the
+    (input row, value) pairs of the input rows nonzero there."""
 
     __slots__ = ("graph", "basis", "gens", "expr_rows", "kernel_rows",
-                 "kernel_pivots", "_supports")
+                 "kernel_pivots", "_supports", "_weights", "_by_position",
+                 "_expr_pairs", "_kernel_pairs")
 
     def __init__(self, graph, basis, gens, span=None):
         n = graph.order
@@ -257,29 +301,58 @@ class OrbitLattice(Lattice):
         self.kernel_pivots = tuple(_hnf_in_place(kernel, n_inputs, echelon=True))
         self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
         self._supports = span.supports
+        self._weights = [sum(abs(v) for _, v in s) for s in span.supports]
+        self._by_position = [[] for _ in range(span.ambient)]
+        for i, support in enumerate(span.supports):
+            for p, v in support:
+                self._by_position[p].append((i, v))
+        self._expr_pairs = [_nonzero(r) for r in span.log]
+        self._kernel_pairs = [_nonzero(r, p) for r, p
+                              in zip(kernel, self.kernel_pivots)]
 
 
 def _greedy_certificate(lat: OrbitLattice, vec):
     """Peel the expanded target `vec` by repeatedly subtracting the signed
     generator translate that most decreases the L1 norm (ties broken by
     +1 before -1, then element index, then generator position).  Each
-    move is scored by its exact L1 change over the translate's support
-    and applied to the residual in place.  Returns coefficient dicts on
-    reaching zero, None on stalling."""
+    move is scored by its exact L1 change and applied to the residual in
+    place.  Returns coefficient dicts on reaching zero, None on stalling.
+
+    Subtracting s.t (t a translate of weight W = |t|_1, s = +-1) changes
+    the norm by W - 2.S, S the sum of min(|r_p|, |t_p|) over the
+    positions p where the residual r_p is nonzero and has the sign of
+    s.t_p: elsewhere on t the norm grows by |t_p|.  So each translate
+    keeps its two sums, `same` (for s = +1) and `other` (for s = -1).
+    A move changes the residual only on the chosen translate's support,
+    so only the translates that `lat._by_position` lists at those
+    positions have their sums updated.  A translate that touches no
+    nonzero residual position has both sums 0 and changes the norm by
+    +W >= 0, so the strict `< 0` test never chooses it.  The deltas, keys
+    and choice are those of a rescan of every translate's support."""
     n = lat.graph.order
     cert = [dict() for _ in lat.gens]
     rem = list(vec)
+    supports, weights, by_position = lat._supports, lat._weights, lat._by_position
+    same, other = [0] * len(supports), [0] * len(supports)
+
+    def tally(p, k):
+        """Add k times position p's share of every translate's sums."""
+        r = rem[p]
+        a = abs(r)
+        for i, v in by_position[p]:
+            if (v > 0) == (r > 0):
+                same[i] += k * min(a, abs(v))
+            else:
+                other[i] += k * min(a, abs(v))
+
+    for p, a in enumerate(rem):
+        if a:
+            tally(p, 1)
     size = sum(abs(a) for a in rem)
-    supports = lat._supports
     while size:
         best = None
-        for i, support in enumerate(supports):
-            down = up = 0
-            for p, v in support:
-                r = rem[p]
-                a = abs(r)
-                down += abs(r - v) - a
-                up += abs(r + v) - a
+        for i, w in enumerate(weights):
+            down, up = w - 2 * same[i], w - 2 * other[i]
             if down < 0 or up < 0:
                 j, g = divmod(i, n)
                 for delta, flag in ((down, 0), (up, 1)):
@@ -291,7 +364,11 @@ def _greedy_certificate(lat: OrbitLattice, vec):
         size, flag, g, j = best
         s = -1 if flag else 1
         for p, v in supports[j * n + g]:
+            if rem[p]:
+                tally(p, -1)
             rem[p] -= s * v
+            if rem[p]:
+                tally(p, 1)
         cert[j][g] = cert[j].get(g, 0) + s
     return cert
 
@@ -326,16 +403,23 @@ def member_solve(lat: OrbitLattice, target: ModuleElt):
 def _hnf_certificate(lat: OrbitLattice, vec):
     """The HNF solution for the expanded target `vec`, reduced modulo the
     relation echelon, as one coefficient dict per generator; None if
-    `vec` is not in the lattice."""
+    `vec` is not in the lattice.  The log combination and the reduction
+    run over the nonzero pairs of the log and relation rows."""
     coeffs = lat.solve(vec)
     if coeffs is None:
         return None
     n_inputs = len(lat.gens) * lat.graph.order
     v = [0] * n_inputs
-    for q, expr in zip(coeffs, lat.expr_rows):
+    for q, expr in zip(coeffs, lat._expr_pairs):
         if q:
-            v = [a + q * b for a, b in zip(v, expr)]
-    v, _ = _reduce(lat.kernel_rows, lat.kernel_pivots, v)
+            for c, b in expr:
+                v[c] += q * b
+    for pairs in lat._kernel_pairs:
+        p, d = pairs[0]
+        q = v[p] // d
+        if q:
+            for c, b in pairs:
+                v[c] -= q * b
     n = lat.graph.order
     return [{g: v[j * n + g] for g in range(n) if v[j * n + g]}
             for j in range(len(lat.gens))]

@@ -79,8 +79,9 @@ def test_int_span():
     assert not span.contains([0, 0, 1])
 
 
-def hnf_in_place_reference(rows, width, mirror=None):
-    """The HNF with every row operation over the full row width."""
+def hnf_in_place_reference(rows, width, mirror=None, echelon=False):
+    """The HNF with every row operation over the full row width; with
+    `echelon`, no reduction above the pivots."""
     pivots = []
     r = 0
     m = len(rows)
@@ -114,7 +115,7 @@ def hnf_in_place_reference(rows, width, mirror=None):
                 if mirror is not None:
                     mirror[r] = [-a for a in mirror[r]]
             d = rows[r][col]
-            for i in range(r):
+            for i in range(0 if echelon else r):
                 q = rows[i][col] // d
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
@@ -127,17 +128,9 @@ def hnf_in_place_reference(rows, width, mirror=None):
     return pivots
 
 
-@st.composite
-def matrices(draw):
-    """Small integer matrices with the shapes HNF must handle: rank
-    deficiency (integer combinations of earlier rows), zero and duplicate
-    rows, negated rows, and columns that start with zeros."""
-    width = draw(st.integers(1, 6))
-    entry = st.integers(-9, 9)
-    lead = draw(st.integers(0, width - 1))
-    rows = [[0] * lead + draw(st.lists(entry, min_size=width - lead,
-                                       max_size=width - lead))
-            for _ in range(draw(st.integers(0, 4)))]
+def _with_derived_rows(draw, rows, width, entry):
+    """`rows` plus zero, duplicate, negated and combination rows, in a
+    drawn order."""
     for kind in draw(st.lists(st.sampled_from(["zero", "dup", "neg", "comb"]),
                               max_size=4)):
         if kind == "zero" or not rows:
@@ -154,21 +147,56 @@ def matrices(draw):
     return width, [rows[i] for i in order]
 
 
+@st.composite
+def matrices(draw):
+    """Small integer matrices with the shapes HNF must handle: rank
+    deficiency (integer combinations of earlier rows), zero and duplicate
+    rows, negated rows, and columns that start with zeros."""
+    width = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    lead = draw(st.integers(0, width - 1))
+    rows = [[0] * lead + draw(st.lists(entry, min_size=width - lead,
+                                       max_size=width - lead))
+            for _ in range(draw(st.integers(0, 4)))]
+    return _with_derived_rows(draw, rows, width, entry)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Wide matrices with entries in +-3 at no more than a fifth of the
+    columns (one, below width 5), the shape of the expanded ZG rows, plus
+    the derived rows of `matrices`."""
+    width = draw(st.integers(1, 30))
+    entry = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0] * width
+        for c in draw(st.lists(st.integers(0, width - 1),
+                               max_size=max(1, width // 5))):
+            row[c] = draw(entry)
+        rows.append(row)
+    return _with_derived_rows(draw, rows, width, entry)
+
+
 def _identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 @settings(deadline=None)
-@given(matrices())
-def test_hnf_matches_full_row_reference(matrix):
+@given(matrices() | sparse_matrices(), st.booleans())
+def test_hnf_matches_full_row_reference(matrix, echelon):
+    """The sparse row updates give the full-row reference's rows, pivots
+    and mirror, operation for operation, with and without the reduction
+    above the pivots."""
     width, raw = matrix
     rows, want_rows = [list(r) for r in raw], [list(r) for r in raw]
-    assert _hnf_in_place(rows, width) == hnf_in_place_reference(want_rows, width)
+    assert (_hnf_in_place(rows, width, echelon=echelon)
+            == hnf_in_place_reference(want_rows, width, echelon=echelon))
     assert rows == want_rows
     rows, want_rows = [list(r) for r in raw], [list(r) for r in raw]
     mirror, want_mirror = _identity(len(raw)), _identity(len(raw))
-    assert (_hnf_in_place(rows, width, mirror)
-            == hnf_in_place_reference(want_rows, width, want_mirror))
+    assert (_hnf_in_place(rows, width, mirror, echelon)
+            == hnf_in_place_reference(want_rows, width, want_mirror, echelon))
     assert rows == want_rows
     assert mirror == want_mirror
 

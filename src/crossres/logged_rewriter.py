@@ -14,6 +14,16 @@ Iterative deepening over the number of moves makes the result deterministic
 and (within limits) the shortest-derivation filling under the documented
 tie-break: resulting length, leftmost position, relator declaration order,
 positive before negative, rotation offset, match length.
+
+Every node visited counts against the node budget.  At the last depth of
+an iteration each move leads to a leaf that costs one node, so the search
+counts those moves instead of building their children.  It builds a child
+there only when the child might exceed the length limit, or might be
+empty: an empty child means the word is a conjugate of a relator's
+rotation, so its cyclically reduced length must equal the relator's (the
+argument is in fill_loop).  The rotation table the moves come from is
+built once per build_h1 call and shared by its fill_loop calls; it is
+never kept beyond that call.
 """
 
 from __future__ import annotations
@@ -40,19 +50,6 @@ class FillLimits:
 DEFAULT_LIMITS = FillLimits()
 
 
-def _rotations(pres):
-    """(relator index, name, sign, conjugator a, rotation letter tuple) for
-    every cyclic rotation of every signed relator."""
-    out = []
-    for ri, (name, w) in enumerate(pres.relators):
-        for sign in (1, -1):
-            base = w.letters if sign == 1 else w.inv().letters
-            for k in range(len(base)):
-                a = Word(base[:k])
-                out.append((ri, name, sign, a, base[k:] + base[:k]))
-    return out
-
-
 def _join(x, y):
     """Free reduction of x.y, for freely reduced x and y with letters coded
     as signed integers: only the junction can cancel."""
@@ -65,18 +62,87 @@ def _join(x, y):
     return x[:-k] + y[k:]
 
 
-def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
+def _cyclic_length(letters):
+    """Length of the cyclic reduction of a freely reduced coded word."""
+    n, k = len(letters), 0
+    while 2 * k + 1 < n and letters[k] == -letters[n - 1 - k]:
+        k += 1
+    return n - 2 * k
+
+
+def _rotation_table(pres):
+    """The moves of fill_loop on `pres`, whatever word it fills: every
+    cyclic rotation of every signed relator, keyed by its first letter.
+
+    A letter is coded as +-(generator index + 1), so that the inverse of a
+    letter is its negation.  Returns (starts, leaves):
+    - starts[c] lists (rotation, tails, relator index, sign flag, rotation
+      offset, logged move) in key order.  tails[m] is the freely reduced
+      inverse of rot[m:], which replaces a match of length m; free
+      reduction is confluent, so reducing it here leaves every child as it
+      was.
+    - leaves[c] lists each distinct rotation of starts[c] once, as
+      (rotation, tails, cyclic length, copies, first copy's move), in the
+      order of first copies.  Copies (x^6 has six equal rotations) match
+      alike, so the last depth counts them together.  The cyclic length is
+      the length of the relator's cyclic reduction, which every rotation
+      and every conjugate of it shares."""
+    code = {name: k + 1 for k, name in enumerate(pres.generators)}
+
+    def encode(letters):
+        return tuple(code[n] * s for n, s in letters)
+
+    starts: dict[int, list] = {}
+    copies: dict[int, dict] = {}
+    for ri, (name, w) in enumerate(pres.relators):
+        size = _cyclic_length(encode(w.letters))
+        for sign in (1, -1):
+            base = w.letters if sign == 1 else w.inv().letters
+            for k in range(len(base)):
+                rot = base[k:] + base[:k]
+                coded = encode(rot)
+                tails = [encode(Word(rot[m:]).inv().letters)
+                         for m in range(len(rot) + 1)]
+                move = (name, sign, Word(base[:k]))
+                starts.setdefault(coded[0], []).append(
+                    (coded, tails, ri, 0 if sign == 1 else 1, k, move))
+                same = copies.setdefault(coded[0], {})
+                if coded in same:
+                    same[coded][3] += 1
+                else:
+                    same[coded] = [coded, tails, size, 1, move]
+    return starts, {c: list(same.values()) for c, same in copies.items()}
+
+
+def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
+              rotations=None) -> CrossedElt:
     """Find c with boundary2(c) = w, by iterative-deepening logged rewriting.
 
     Raises FillError when no filling is found within limits (the word may
     then be given more depth, or supplied through an h1 override file).
     The caller is responsible for phi(w) = 1; a filling found here proves
     it, and no filling exists otherwise.
+
+    `rotations` is `_rotation_table(pres)`; build_h1 builds it once for all
+    its calls, and a call without it builds its own.  A letter of w that is
+    not a generator gets the next free code here and matches no rotation.
+
+    At the last depth every move leads to a leaf that costs one node, so
+    the moves are counted, not visited, and a child is built only where
+    its length bound L - m + len(tails[m]) exceeds max_length, or where
+    it can be empty.  The child p.tails[m].s of letters = p.rot[:m].s is
+    empty exactly when p.rot[m:]^-1.s = 1 in the free group, that is, when
+    letters is the reduced conjugate p.rot.p^-1 of the rotation.  Conjugate
+    words have cyclic reductions of one length, so an empty child needs
+    the cyclic length of letters to equal its relator's.  When the budget
+    cannot pay for every move, the children are built and walked in order
+    as at any other depth, so the word the search runs out on is named.
     """
     if w.is_empty():
         return IDENTITY_CROSSED
-    # The search codes a letter as +-(generator index + 1), so that the
-    # inverse of a letter is its negation.
+    if rotations is None:
+        rotations = _rotation_table(pres)
+    starts, leaves = rotations
     names = tuple(dict.fromkeys(pres.generators + tuple(n for n, _ in w)))
     code = {name: k + 1 for k, name in enumerate(names)}
 
@@ -86,15 +152,6 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
     def decode(letters):
         return Word((names[abs(c) - 1], 1 if c > 0 else -1) for c in letters)
 
-    # Only a rotation that starts with letters[i] matches at position i.
-    # tails[m] is the freely reduced inverse of rot[m:], which replaces a
-    # match of length m; free reduction is confluent, so reducing it here
-    # leaves every child as it was.
-    starts: dict[int, list] = {}
-    for ri, name, sign, a, rot in _rotations(pres):
-        tails = [encode(Word(rot[m:]).inv().letters) for m in range(len(rot) + 1)]
-        starts.setdefault(code[rot[0][0]] * rot[0][1], []).append(
-            (encode(rot), tails, ri, 0 if sign == 1 else 1, len(a), (name, sign, a)))
     max_length = max(limits.max_length_factor * len(w), 8)
     budget = limits.node_budget
 
@@ -122,6 +179,29 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
                     found.append(((len(child), i, ri, flag, offset), m, child, move, i))
         return found
 
+    def leaf(letters):
+        """(moves, (move, position) of the first empty child or None): the
+        match count and first empty child over what children() would list,
+        building a child only where its length or emptiness is in doubt."""
+        L = len(letters)
+        slack = max_length - L
+        cyclic = _cyclic_length(letters)
+        moves, empty = 0, None
+        for i in range(L):
+            for rot, tails, size, count, move in leaves.get(letters[i], ()):
+                top = min(len(rot), L - i)
+                m = 1
+                while m < top and letters[i + m] == rot[m]:
+                    m += 1
+                if size == cyclic or len(tails[m]) - m > slack:
+                    child = _join(_join(letters[:i], tails[m]), letters[i + m:])
+                    if len(child) > max_length:
+                        continue
+                    if not child and empty is None:
+                        empty = (move, i)
+                moves += m * count
+        return moves, empty
+
     def logged(move, i, letters, rest):
         name, sign, a = move
         return [(name, sign, a * decode(letters[:i]).inv())] + rest
@@ -144,21 +224,21 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> CrossedElt:
         if seen is not None and seen >= remaining:
             return None
         memo[letters] = remaining
-        found = children(letters)
         if remaining == 1:
             # Every move leads to a leaf that costs one node.  An empty
-            # child sorts first and ends the search; otherwise the walk
-            # would find nothing.  When the budget cannot pay for every
-            # move, the sorted walk below names the word it runs out on.
-            moves = sum(t[1] for t in found)
+            # child sorts first and ends the search (leaf meets the moves
+            # in key order, so the first empty child it finds is the
+            # least); otherwise the walk would find nothing.  When the
+            # budget cannot pay for every move, the sorted walk below
+            # names the word it runs out on.
+            moves, empty = leaf(letters)
             if moves <= budget:
-                empty = [t for t in found if not t[2]]
-                if empty:
+                if empty is not None:
                     budget -= 1
-                    _, _, _, move, i = min(empty, key=lambda t: t[0])
-                    return logged(move, i, letters, [])
+                    return logged(*empty, letters, [])
                 budget -= moves
                 return None
+        found = children(letters)
         found.sort(key=lambda t: t[0])
         for _, m, child, move, i in found:
             rest = dfs(child, remaining - 1, memo)
@@ -218,6 +298,9 @@ def build_h1(contraction: Contraction0, source="search",
     rho by fill_loop) or the path of an h1 file (format in `inputs`)."""
     graph = contraction.graph
     if source == "search":
+        # One rotation table for every fill_loop call of this build, and
+        # no longer: a table kept past the call would keep its presentation.
+        rotations = _rotation_table(graph.presentation)
         entries = {}
         for g in range(graph.order):
             for k in range(len(graph.gens)):
@@ -225,7 +308,8 @@ def build_h1(contraction: Contraction0, source="search",
                     continue
                 loop = contraction.rho(g, word(graph.gens[k]))
                 try:
-                    entries[(g, k)] = fill_loop(graph.presentation, loop, limits)
+                    entries[(g, k)] = fill_loop(graph.presentation, loop, limits,
+                                                rotations)
                 except FillError as exc:
                     raise FillError(
                         f"h1 search failed at edge ({graph.elt_name(g)!r}, "

@@ -273,8 +273,9 @@ class OrbitLattice(Lattice):
     here: `_expr_pairs` and `_kernel_pairs` hold the nonzero (column,
     value) pairs of `expr_rows` and `kernel_rows` (a kernel row's first
     pair is its pivot), `_supports` the input rows' pairs, `_weights`
-    their L1 norms, and `_by_position` maps each position to the
-    (input row, value) pairs of the input rows nonzero there."""
+    their L1 norms, and `_by_position` maps each position to two lists
+    of (input row, |value|) pairs, of the input rows positive there and
+    of those negative there."""
 
     __slots__ = ("graph", "basis", "gens", "expr_rows", "kernel_rows",
                  "kernel_pivots", "_supports", "_weights", "_by_position",
@@ -302,10 +303,13 @@ class OrbitLattice(Lattice):
         self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
         self._supports = span.supports
         self._weights = [sum(abs(v) for _, v in s) for s in span.supports]
-        self._by_position = [[] for _ in range(span.ambient)]
+        self._by_position = [([], []) for _ in range(span.ambient)]
         for i, support in enumerate(span.supports):
             for p, v in support:
-                self._by_position[p].append((i, v))
+                if v > 0:
+                    self._by_position[p][0].append((i, v))
+                else:
+                    self._by_position[p][1].append((i, -v))
         self._expr_pairs = [_nonzero(r) for r in span.log]
         self._kernel_pairs = [_nonzero(r, p) for r, p
                               in zip(kernel, self.kernel_pivots)]
@@ -338,12 +342,15 @@ def _greedy_certificate(lat: OrbitLattice, vec):
     def tally(p, k):
         """Add k times position p's share of every translate's sums."""
         r = rem[p]
-        a = abs(r)
-        for i, v in by_position[p]:
-            if (v > 0) == (r > 0):
-                same[i] += k * min(a, abs(v))
-            else:
-                other[i] += k * min(a, abs(v))
+        plus, minus = by_position[p]
+        if r > 0:
+            a, agree, differ = r, plus, minus
+        else:
+            a, agree, differ = -r, minus, plus
+        for i, v in agree:
+            same[i] += k if v == 1 else k * min(a, v)
+        for i, v in differ:
+            other[i] += k if v == 1 else k * min(a, v)
 
     for p, a in enumerate(rem):
         if a:

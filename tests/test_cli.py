@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,8 +8,9 @@ import pytest
 
 import crossres
 import crossres.cli as cli
-from crossres import (InputError, RunConfig, build_state, main,
-                      parse_order_file, parse_presentation, run)
+from crossres import (FillError, InputError, RunConfig, build_state,
+                      export_json, import_json, main, parse_order_file,
+                      parse_presentation, run, verify_state)
 from conftest import data_path, s3_config
 
 
@@ -118,6 +120,44 @@ class TestBuildState:
     def test_missing_file(self):
         with pytest.raises(InputError):
             build_state(RunConfig(presentation=data_path("nope.pres")))
+
+
+# (id, generators, relators, group order) of small presentations with
+# known orders.
+_FAMILIES = (
+    [(f"C{n}", "x", [f"x^{n}"], n) for n in range(1, 7)]
+    + [(f"D{n}", "x y", [f"x^{n}", "y^2", "x y x y"], 2 * n) for n in range(2, 7)]
+    + [("T233", "x y", ["x^2", "y^3", "x y x y x y"], 12),
+       ("T234", "x y", ["x^2", "y^3", "x y x y x y x y"], 24),
+       ("trivial-two-gens", "x y", ["x", "y"], 1),
+       ("C2-redundant", "x", ["x^2", "x^4"], 2)]
+    + [(f"C{m}xC{n}", "x y", [f"x^{m}", f"y^{n}", "x y x^-1 y^-1"], m * n)
+       for m, n in ((2, 2), (2, 3), (3, 3), (4, 2))])
+
+
+@pytest.mark.parametrize("gens, rels, order", [f[1:] for f in _FAMILIES],
+                         ids=[f[0] for f in _FAMILIES])
+@pytest.mark.parametrize("level", [3, 4])
+def test_presentation_families_have_two_outcomes(tmp_path, gens, rels, order,
+                                                 level):
+    """Under the CLI defaults a presentation either builds a state that
+    verifies and survives export -> import -> export byte for byte, or
+    fails in the h1 search naming the edge and the node budget."""
+    pres = tmp_path / "g.pres"
+    pres.write_text(f"gens: {gens}\n" + "".join(
+        f"rel r{i} = {w}\n" for i, w in enumerate(rels)))
+    try:
+        state = build_state(RunConfig(presentation=str(pres), max_level=level))
+    except FillError as exc:
+        assert re.fullmatch(r"h1 search failed at edge \(.+\): .* "
+                            r"\(node_budget=200000\)", str(exc)), str(exc)
+        return
+    assert state.graph.order == order
+    assert verify_state(state)[0]
+    text = export_json(state)
+    again = import_json(text)
+    assert verify_state(again)[0]
+    assert export_json(again) == text
 
 
 class TestMain:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,13 +198,24 @@ def _reference_fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS) -> 
         f"(max_depth={limits.max_depth})")
 
 
+def _bench_presentation(stem):
+    """The text of a presentation the benchmark's `auto` workload builds."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "data", "pres", f"{stem}.pres")) as fh:
+        return fh.read()
+
+
 REFERENCE_PRESENTATIONS = {
-    "D4": "gens: x y\nrel r = x^4\nrel s = y^2\nrel t = x y x y\n",
     "D5": "gens: x y\nrel r = x^5\nrel s = y^2\nrel t = x y x y\n",
     "A4p": "gens: x y\nrel r = x^2\nrel s = y^3\nrel t = x y x y x y\n",
     "D6": "gens: x y\nrel r = x^6\nrel s = y^2\nrel t = x y x y\n",
     # S3, with a relator that is not cyclically reduced.
     "S3conj": "gens: x y\nrel a = x^2\nrel b = x y^3 x^-1\nrel c = x y x y\n",
+    "D4": _bench_presentation("d4"),
+    "Q12": _bench_presentation("q12"),
+    "C3xC3": _bench_presentation("c3c3"),
+    "C2xC2xC2": _bench_presentation("c2c2c2"),
+    "C4xC2": _bench_presentation("c4c2"),
 }
 
 
@@ -265,3 +278,62 @@ class TestFillLoopReference:
         for edge, pres, loop in _non_tree_loops(REFERENCE_PRESENTATIONS[group]):
             assert (_outcome(fill_loop, pres, loop, limits)
                     == _outcome(_reference_fill_loop, pres, loop, limits)), edge
+
+
+def _least_budget(pres, loop, limits):
+    """The least node budget with which fill_loop fills `loop` under
+    `limits`; a larger budget fills it the same way."""
+    lo, hi = 1, limits.node_budget
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            fill_loop(pres, loop, FillLimits(limits.max_depth,
+                                             limits.max_length_factor, mid))
+            hi = mid
+        except FillError:
+            lo = mid + 1
+    return lo
+
+
+class TestLeafStep:
+    """The last depth counts its moves without visiting them."""
+
+    @pytest.mark.parametrize("factor", [4, 1])
+    @pytest.mark.parametrize("group", ["D6", "S3conj"])
+    def test_budget_runs_out_at_the_last_depth(self, group, factor):
+        # With the least budget that fills a loop, a last leaf of more than
+        # one move cannot pay for all of them (one node less would still
+        # pay for its empty child), so the sorted walk reaches that child;
+        # a few nodes more still leave it short.  max_length_factor=1 keeps
+        # children beyond the length limit out of the count.
+        limits = FillLimits(max_length_factor=factor, node_budget=500)
+        swept = 0
+        for edge, pres, loop in _non_tree_loops(REFERENCE_PRESENTATIONS[group]):
+            if isinstance(_outcome(fill_loop, pres, loop, limits), str):
+                continue
+            least = _least_budget(pres, loop, limits)
+            for budget in range(max(1, least - 2), least + 40):
+                tight = FillLimits(max_length_factor=factor, node_budget=budget)
+                assert (_outcome(fill_loop, pres, loop, tight)
+                        == _outcome(_reference_fill_loop, pres, loop, tight)), \
+                    (edge, budget)
+            swept += 1
+        assert swept >= 5
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("q", "FillError: filling not found within limits for 'q' (max_depth=64)"),
+        ("q x q^-1 x^-1",
+         "FillError: filling search for 'q y^-1 x y x^-1 y^-2 q^-1 x y x^-1 y^-1' "
+         "exceeded the node budget (node_budget=200000)"),
+    ])
+    def test_letters_outside_the_generators(self, s3_presentation, text, outcome):
+        assert _outcome(fill_loop, s3_presentation, parse_word(text)) == outcome
+
+    def test_build_h1_fills_as_single_calls(self):
+        # build_h1 shares one rotation table among its fill_loop calls.
+        pres = parse_presentation(REFERENCE_PRESENTATIONS["Q12"])
+        graph = enumerate_presentation(pres)
+        con = Contraction0(graph, bfs_tree(graph))
+        h1 = build_h1(con, "search")
+        for (g, k), c in h1.entries.items():
+            assert c == fill_loop(pres, con.rho(g, word(graph.gens[k])))

@@ -67,17 +67,22 @@ def act(a: CrossedElt, w: Word) -> CrossedElt:
     return CrossedElt(tuple((name, sign, u * w) for name, sign, u in a.factors))
 
 
-def boundary2(a: CrossedElt, pres) -> Word:
+def boundary2(a: CrossedElt, pres, memo=None) -> Word:
     """delta_2: prod u^-1 (omega r)^e u, freely reduced.  The letters of
     every factor are concatenated and reduced once, by the stack that
     cancels at its top in `Word`; free reduction is confluent, so this is
-    the word the product of the factors gives."""
+    the word the product of the factors gives.  `memo`, a dict factor ->
+    letters kept across calls on one presentation, builds each once."""
     letters: list = []
-    for name, sign, u in a.factors:
-        w = pres.relator_word(name)
-        if sign == -1:
-            w = w.inv()
-        letters += u.inv().letters + w.letters + u.letters
+    for factor in a.factors:
+        part = memo.get(factor) if memo is not None else None
+        if part is None:
+            name, sign, u = factor
+            w = pres.relator_word(name)
+            part = u.inv().letters + (w.inv() if sign == -1 else w).letters + u.letters
+            if memo is not None:
+                memo[factor] = part
+        letters += part
     return Word(letters)
 
 

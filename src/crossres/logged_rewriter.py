@@ -271,9 +271,10 @@ class H1Table:
 
     def __init__(self, contraction: Contraction0, entries):
         graph = contraction.graph
+        memo: dict = {}  # factor -> letters, for this table only
         for (g, k), c in entries.items():
             expected = contraction.rho(g, word(graph.gens[k]))
-            got = boundary2(c, graph.presentation)
+            got = boundary2(c, graph.presentation, memo)
             if got != expected:
                 raise ValueError(
                     f"h1 entry at edge ({graph.elt_name(g)!r}, {graph.gens[k]}) has "

@@ -28,15 +28,16 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .crossed import (CrossedElt, ModuleElt, ZERO_MODULE, abelianise, act,
-                      apply_map, boundary2, crossed, inv, mult, parse_crossed,
+                      boundary2, crossed, inv, mult, parse_crossed,
                       render_crossed, unit)
 from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .logged_rewriter import H1Table, h1_eval
 from .words import GroupRingElt, Word, fox_derivative, parse_word
-from .zg_lattice import IntSpan, Lattice, OrbitLattice, expand, map_rows, \
-    member_solve, orbit_rows
-# unused here; bench/tracing.py looks it up in this module to time it
+from .zg_lattice import IntSpan, Lattice, OrbitLattice, TranslateTable, \
+    expand, member_solve, orbit_rows
+# unused here; bench/tracing.py looks them up in this module to time them
+from .crossed import apply_map  # noqa: F401
 from .zg_lattice import kernel_lattice  # noqa: F401
 
 SCHEMA = "crossres-state/1"
@@ -188,6 +189,7 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                 f"level {n}: {names}")
 
     lattice = OrbitLattice(graph, codomain, list(level.boundary.values()), span)
+    table = TranslateTable(graph, codomain, level.boundary)
     for cand in candidates:
         sym = symbol_of_tag[cand.tag]
         if sym is not None:
@@ -205,7 +207,8 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                     f"inconsistent")
             cert = ModuleElt({sym: ring for (sym, _), ring
                               in zip(basis, solved) if ring})
-        if apply_map(state.graph, level.boundary, cert) != cand.form:
+        diff = table.image(cert, cand.form)
+        if diff is None or any(diff):
             raise ValueError(
                 f"certificate for tag {_tag_text(graph, cand.tag)} does not "
                 f"replay to the candidate form")
@@ -275,7 +278,13 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     unitriangular), and otherwise exactly when its transposed basis spans
     all of Z^rank.  Each `exactness` row also requires that the level's
     codomain is the basis of the level below, in order (the relators at
-    level 3); `detail` names the first condition that failed."""
+    level 3), and that its boundaries use no other symbol; `detail` names
+    the first condition that failed.
+
+    Each map is one TranslateTable (delta_2 is the Fox matrix).  `dd` rows
+    push a level's boundaries through the table below, retraction rows
+    push each xi through the level's own table against its candidate form,
+    and the exactness lattices take their rows from the tables."""
     import random
     rng = random.Random(seed)
     graph, pres = state.graph, state.presentation
@@ -293,42 +302,42 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
         "" if state.contraction.sigma[0].is_empty() else "sigma(1) != 1")
 
     # retr3: h1 entries bound the tree-contracted loops.
+    letters: dict = {}  # factor -> boundary2 letters, for this call only
     for (g, k), c in sorted(state.h1.entries.items()):
         want = state.contraction.rho(g, Word(((graph.gens[k], 1),)))
-        got = boundary2(c, pres)
+        got = boundary2(c, pres, letters)
         add("retr3", 1, f"({graph.elt_name(g)}, {graph.gens[k]})", got == want,
             "" if got == want else f"boundary {got.render()} != {want.render()}")
 
-    fox = fox_matrix_map(pres, graph)
+    fox = TranslateTable(graph, pres.generators, fox_matrix_map(pres, graph))
+    tables = {n: TranslateTable(graph, level.codomain, level.boundary)
+              for n, level in state.levels.items()}
     dd_ok: dict[int, bool] = {}
     for n in sorted(state.levels):
         level = state.levels[n]
-        lower = state.levels.get(n - 1)
+        lower = fox if n == 3 else tables.get(n - 1)
         # stored crossed forms agree with stored module forms (level 3)
         if n == 3:
             for cand in level.candidates:
                 ok = abelianise(cand.crossed_form, graph) == cand.form
                 add("consistency", n, _tag_text(graph, cand.tag), ok,
                     "" if ok else "abelianised crossed form != module form")
-                w = boundary2(cand.crossed_form, pres)
+                w = boundary2(cand.crossed_form, pres, letters)
                 add("dd", n, _tag_text(graph, cand.tag), w.is_empty(),
                     "" if w.is_empty() else
                     f"boundary2 of delta3 reduces to {w.render()}, not 1")
         # dd = 0 for stored boundaries
         dd_ok[n] = True
         for sym, _tag in level.basis:
-            if n == 3:
-                img = apply_map(graph, fox, level.boundary[sym])
-            else:
-                img = apply_map(graph, lower.boundary, level.boundary[sym])
-            add("dd", n, sym, not img,
-                "" if not img else "delta(delta(sym)) != 0")
-            dd_ok[n] = dd_ok[n] and not img
+            ok = lower is not None and not any(lower.image(level.boundary[sym]))
+            add("dd", n, sym, ok, "" if ok else "delta(delta(sym)) != 0"
+                if lower else f"level {n - 1} is missing")
+            dd_ok[n] = dd_ok[n] and ok
         # retraction: delta_n(xi tag) == candidate form, all tags
         name = "retr32" if n == 3 else "retr4"
         for cand in level.candidates:
-            got = apply_map(graph, level.boundary, level.xi[cand.tag])
-            ok = got == cand.form
+            diff = tables[n].image(level.xi[cand.tag], cand.form)
+            ok = diff is not None and not any(diff)
             add(name, n, _tag_text(graph, cand.tag), ok,
                 "" if ok else "delta(xi) != candidate form")
         # retr5: translated homotopy lookups resolve to the base entry
@@ -347,16 +356,15 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     # exactness: image of delta_n equals kernel of delta_{n-1}, by rank
     # and saturation (see the docstring)
     below = pres.relator_names()
-    below_rank = Lattice(len(pres.generators) * graph.order,
-                         map_rows(graph, below, pres.generators, fox)).rank
+    below_rank = Lattice(fox.width, fox.rows(below)).rank
     for n in sorted(state.levels):
-        level = state.levels[n]
-        image = Lattice(len(level.codomain) * graph.order,
-                        map_rows(graph, [s for s, _ in level.basis],
-                                 level.codomain, level.boundary))
+        level, table = state.levels[n], tables[n]
+        image = Lattice(table.width, table.rows([s for s, _ in level.basis]))
         want = image.ambient - below_rank
         if level.codomain != below:
             detail = "codomain is not the basis of the level below"
+        elif table.extra:
+            detail = "a boundary uses a symbol outside the codomain"
         elif not dd_ok[n]:
             detail = "image not in kernel"
         elif image.rank != want:

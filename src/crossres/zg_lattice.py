@@ -16,11 +16,17 @@ positions a move changes.  The HNF steps apply the same quotients in
 the same order as full-row updates, and the peel scores every move
 exactly as a rescan of every translate would, so every result is the
 same as with dense loops.
+
+A `TranslateTable` lists each right translate mapping[b].g of a ZG-linear
+map's images once, as such pairs read off the Cayley graph's columns.
+Pushing an element through it is apply_map on expanded coordinates, and
+its dense rows are the map's matrix: certificate checks and every replay
+check of `verify_state` read one table per level.
 """
 
 from __future__ import annotations
 
-from .crossed import ModuleElt
+from .crossed import ZERO_MODULE, ModuleElt
 from .words import GroupRingElt
 
 
@@ -438,17 +444,62 @@ def orbit_rows(graph, basis, m: ModuleElt) -> list[list[int]]:
             for g in range(graph.order)]
 
 
-def map_rows(graph, dom_basis, codom_basis, mapping):
-    """Expanded integer rows of the ZG-linear map b -> mapping[b], one row
-    per (domain basis symbol, group element), generator-major order."""
-    return [row for sym in dom_basis
-            for row in orbit_rows(graph, codom_basis, mapping[sym])]
+class TranslateTable:
+    """The ZG-linear map b -> mapping[b] on expanded coordinates:
+    `translates[b][g]` lists the (position, value) pairs of mapping[b].g
+    over `codomain`.  A symbol that an image uses outside `codomain` (a
+    faulty level) gets a block after it and is listed in `extra`."""
+
+    __slots__ = ("width", "index", "extra", "translates")
+
+    def __init__(self, graph, codomain, mapping):
+        n = graph.order
+        index = {sym: i * n for i, sym in enumerate(codomain)}
+        self.extra = sorted({s for m in mapping.values() for s in m.coords}
+                            - index.keys())
+        index.update((s, i * n) for i, s in enumerate(self.extra, len(codomain)))
+        self.width = (len(codomain) + len(self.extra)) * n
+        self.index, self.translates = index, {}
+        for b, m in mapping.items():
+            # the coefficient of (s, h) moves to index[s] + h.g
+            pairs = [(index[s], h, c) for s, ring in m.coords.items()
+                     for h, c in ring.coeffs.items()]
+            self.translates[b] = [[(i + col[h], c) for i, h, c in pairs]
+                                  for col in graph._right]
+
+    def image(self, m: ModuleElt, minus: ModuleElt = ZERO_MODULE):
+        """The expanded image of m minus the expansion of `minus`, as a
+        dense list; None if `minus` uses a symbol that no image can."""
+        vec = [0] * self.width
+        for sym, ring in minus.coords.items():
+            if sym not in self.index:
+                return None
+            for g, c in ring.coeffs.items():
+                vec[self.index[sym] + g] = -c
+        for sym, ring in m.coords.items():
+            rows = self.translates[sym]
+            for g, c in ring.coeffs.items():
+                for p, v in rows[g]:
+                    vec[p] += c * v
+        return vec
+
+    def rows(self, dom_basis) -> list[list[int]]:
+        """The dense matrix, one row per (domain symbol, group element),
+        generator-major order."""
+        out = []
+        for sym in dom_basis:
+            for pairs in self.translates[sym]:
+                out.append([0] * self.width)
+                for p, v in pairs:
+                    out[-1][p] = v
+        return out
 
 
 def kernel_lattice(graph, dom_basis, codom_basis, mapping) -> Lattice:
     """HNF basis of the integer kernel of the expanded matrix of the map
     (ZG)^dom -> (ZG)^codom sending b to mapping[b]: the relations an
     IntSpan collects while it takes in the rows of that matrix."""
-    span = IntSpan(len(codom_basis) * graph.order)
-    span.add(*map_rows(graph, dom_basis, codom_basis, mapping))
+    table = TranslateTable(graph, codom_basis, mapping)
+    span = IntSpan(table.width)
+    span.add(*table.rows(dom_basis))
     return Lattice(len(dom_basis) * graph.order, span.relations)

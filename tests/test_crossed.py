@@ -198,3 +198,17 @@ def crossed_over(pres):
 def test_boundary2_matches_product_reference(case):
     pres, a = case
     assert boundary2(a, pres) == boundary2_reference(a, pres)
+
+
+@given(st.sampled_from(PRESENTATIONS).flatmap(
+    lambda pres: st.tuples(st.just(pres),
+                           st.lists(crossed_over(pres), min_size=1, max_size=4))))
+def test_boundary2_memo_gives_the_same_words(case):
+    """One memo shared across many elements, as a caller keeps it across
+    its calls, gives every element the word it gets with no memo, and
+    holds each distinct factor once."""
+    pres, elts = case
+    memo: dict = {}
+    for a in elts + elts:
+        assert boundary2(a, pres, memo) == boundary2(a, pres)
+    assert set(memo) == {f for a in elts for f in a.factors}

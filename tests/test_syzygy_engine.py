@@ -414,6 +414,103 @@ def _logged_hnf_reference(lat):
     return certificate
 
 
+def _map_rows(graph, dom_basis, codom_basis, mapping):
+    """The expanded rows of the map b -> mapping[b], one per (domain
+    symbol, group element), built term by term."""
+    return [zg_lattice.expand(graph, codom_basis, mapping[sym].translated(graph, g))
+            for sym in dom_basis for g in range(graph.order)]
+
+
+def _reference_verify(state, samples=50, seed=0):
+    """verify_state's checks made the direct way: apply_map per boundary
+    and certificate, boundary2 with no memo, and exactness lattices from
+    `_map_rows`.  Same rows, in the same order, with the same details."""
+    import random
+    rng = random.Random(seed)
+    graph, pres = state.graph, state.presentation
+    rows = []
+
+    def add(check, level, element, ok, detail=""):
+        rows.append((check, level, element, ok, detail))
+
+    for g in range(graph.order):
+        ok = graph.eval_word(state.contraction.sigma[g], 0) == g
+        add("retr2", 0, graph.elt_name(g), ok, "" if ok else "phi(sigma(g)) != g")
+    ok = state.contraction.sigma[0].is_empty()
+    add("retr2", 0, "1", ok, "" if ok else "sigma(1) != 1")
+    for (g, k), c in sorted(state.h1.entries.items()):
+        want = state.contraction.rho(g, parse_word(graph.gens[k]))
+        got = boundary2(c, pres)
+        add("retr3", 1, f"({graph.elt_name(g)}, {graph.gens[k]})", got == want,
+            "" if got == want else f"boundary {got.render()} != {want.render()}")
+    fox = fox_matrix_map(pres, graph)
+    text = syzygy_engine._tag_text
+    dd_ok = {}
+    for n in sorted(state.levels):
+        level = state.levels[n]
+        lower = fox if n == 3 else state.levels[n - 1].boundary
+        if n == 3:
+            for cand in level.candidates:
+                ok = abelianise(cand.crossed_form, graph) == cand.form
+                add("consistency", n, text(graph, cand.tag), ok,
+                    "" if ok else "abelianised crossed form != module form")
+                w = boundary2(cand.crossed_form, pres)
+                add("dd", n, text(graph, cand.tag), w.is_empty(),
+                    "" if w.is_empty() else
+                    f"boundary2 of delta3 reduces to {w.render()}, not 1")
+        dd_ok[n] = True
+        for sym, _ in level.basis:
+            img = apply_map(graph, lower, level.boundary[sym])
+            add("dd", n, sym, not img, "" if not img else "delta(delta(sym)) != 0")
+            dd_ok[n] = dd_ok[n] and not img
+        for cand in level.candidates:
+            ok = apply_map(graph, level.boundary, level.xi[cand.tag]) == cand.form
+            add("retr32" if n == 3 else "retr4", n, text(graph, cand.tag), ok,
+                "" if ok else "delta(xi) != candidate form")
+        if level.candidates:
+            for _ in range(samples):
+                h, prev = rng.choice(level.candidates).tag
+                g = rng.randrange(graph.order)
+                moved = homotopy_eval(graph, level.xi, graph.mult(h, g),
+                                      ModuleElt({prev: GroupRingElt({g: 1})}))
+                ok = moved == level.xi[(h, prev)]
+                add("retr5", n, text(graph, (h, prev)), ok,
+                    "" if ok else "translated lookup mismatch")
+    below = pres.relator_names()
+    below_rank = zg_lattice.Lattice(len(pres.generators) * graph.order,
+                                    _map_rows(graph, below, pres.generators, fox)).rank
+    for n in sorted(state.levels):
+        level = state.levels[n]
+        image = zg_lattice.Lattice(
+            len(level.codomain) * graph.order,
+            _map_rows(graph, [s for s, _ in level.basis], level.codomain,
+                      level.boundary))
+        want = image.ambient - below_rank
+        if level.codomain != below:
+            detail = "codomain is not the basis of the level below"
+        elif not dd_ok[n]:
+            detail = "image not in kernel"
+        elif image.rank != want:
+            detail = f"image rank {image.rank} != kernel rank {want}"
+        elif not image.is_saturated():
+            detail = "image lattice is not saturated"
+        else:
+            detail = ""
+        add("exactness", n - 1, f"image(delta{n}) vs kernel(delta{n - 1})",
+            not detail, detail)
+        below, below_rank = [s for s, _ in level.basis], image.rank
+    return all(r[3] for r in rows), rows
+
+
+@pytest.mark.parametrize("path", _REPLAY_STATES,
+                         ids=[os.path.basename(p) for p in _REPLAY_STATES])
+def test_verify_matches_reference_on_frozen_states(path):
+    with open(path) as fh:
+        state = import_json(fh.read())
+    for seed in (0, 1):
+        assert verify_state(state, seed=seed) == _reference_verify(state, seed=seed)
+
+
 def _reference_exactness(state):
     """The lattice comparison verify_state used to make: each level's
     image lattice against the kernel lattice of the level below, the
@@ -424,8 +521,8 @@ def _reference_exactness(state):
         level = state.levels[n]
         image = zg_lattice.Lattice(
             len(level.codomain) * graph.order,
-            zg_lattice.map_rows(graph, [s for s, _ in level.basis],
-                                level.codomain, level.boundary))
+            _map_rows(graph, [s for s, _ in level.basis],
+                      level.codomain, level.boundary))
         if n == 3:
             kern = kernel_lattice(graph, list(pres.relator_names()),
                                   list(pres.generators),
@@ -473,7 +570,8 @@ def test_exactness_matches_kernel_reference(name):
     replaced by the sum of the first two.  At the top level, doubling the
     first generator keeps dd = 0, so only saturation can fail there.  The
     overall verdict is the one the old check gives with the same other
-    rows, and every condition is seen to fail at least once."""
+    rows, every condition is seen to fail at least once, and all rows are
+    those of the direct-way reference."""
     text = export_json(build_state(_EXACTNESS_STATES[name]()))
     top = max(import_json(text).levels)
     cases = [(None, None)] + [(n, fault) for n in range(3, top + 1)
@@ -485,6 +583,7 @@ def test_exactness_matches_kernel_reference(name):
         if fault is not None:
             fault(state.levels[n])
         ok, rows = verify_state(state, samples=2)
+        assert (ok, rows) == _reference_verify(state, samples=2), (n, fault)
         exact = [r for r in rows if r[0] == "exactness"]
         reference = _reference_exactness(state)
         assert [r[3] for r in exact] == reference, (n, fault, exact)
@@ -497,3 +596,47 @@ def test_exactness_matches_kernel_reference(name):
                 "image lattice is not saturated")
     assert {p for p in prefixes for d in details if d.startswith(p)} \
         == set(prefixes)
+
+
+def test_missing_level_is_a_failed_row():
+    """A state with a middle level deleted verifies to failed rows: the
+    level above has no boundaries to map into, and its codomain is not
+    the basis of the level below."""
+    state = import_json(export_json(build_state(
+        RunConfig(presentation=data_path("q8.pres"), max_level=5))))
+    del state.levels[4]
+    ok, rows = verify_state(state, samples=2)
+    assert not ok
+    failed = [r for r in rows if not r[3]]
+    assert {(r[0], r[1], r[4]) for r in failed} == {
+        ("dd", 5, "level 4 is missing"),
+        ("exactness", 4, "codomain is not the basis of the level below")}
+    assert len(failed) == 1 + len(state.levels[5].basis)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_codomain_without_a_used_symbol_is_a_failed_row(s3_state, n):
+    """A level whose stored codomain lacks a symbol its forms use fails
+    only its exactness row, with the codomain named; the level above
+    still pushes its boundaries through this level's map exactly."""
+    state = import_json(export_json(s3_state))
+    state.levels[n].codomain = state.levels[n].codomain[1:]
+    ok, rows = verify_state(state, samples=2)
+    assert not ok
+    assert [r for r in rows if not r[3]] == [
+        ("exactness", n - 1, f"image(delta{n}) vs kernel(delta{n - 1})", False,
+         "codomain is not the basis of the level below")]
+
+
+def test_boundary_outside_a_matching_codomain_is_a_failed_row(s3_state):
+    """Level 3 loses its first kept generator and level 4's codomain is
+    cut to match, so level 4's boundaries use a symbol outside a codomain
+    that is the basis below: that level's exactness row names it."""
+    state = import_json(export_json(s3_state))
+    lv3, lv4 = state.levels[3], state.levels[4]
+    lv3.basis = lv3.basis[1:]
+    lv4.codomain = [s for s, _ in lv3.basis]
+    ok, rows = verify_state(state, samples=2)
+    assert not ok
+    assert [r[4] for r in rows if not r[3] and r[1] == 3] == [
+        "a boundary uses a symbol outside the codomain"]

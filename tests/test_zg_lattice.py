@@ -8,8 +8,8 @@ from crossres import (GroupRingElt, Lattice, ModuleElt, OrbitLattice,
                       fox_matrix_map, kernel_lattice,
                       member_solve, unexpand, unit, word,
                       Presentation)
-from crossres.zg_lattice import IntSpan, _greedy_certificate, _hnf_in_place, \
-    _reduce
+from crossres.zg_lattice import IntSpan, TranslateTable, _greedy_certificate, \
+    _hnf_in_place, _reduce
 
 
 def test_expand_unexpand_round_trip(s3_graph):
@@ -330,6 +330,61 @@ def test_kernel_lattice_cyclic():
     # N(4) has one relation: (t - 1) . N(4) = 0
     want = OrbitLattice(graph, ["r"], [unit("r", 1) - unit("r", 0)])
     assert kern == want
+
+
+_S3 = enumerate_presentation(Presentation(
+    ["x", "y"], [("r", word("x") ** 3), ("s", word("y") ** 2),
+                 ("t", (word("x") * word("y")) ** 2)]))
+_Q8 = enumerate_presentation(Presentation(
+    ["x", "y"], [("r", word("x") ** 4), ("s", word("x") ** 2 * word("y") ** -2),
+                 ("t", word("x") * word("y") * word("x") * word("y") ** -1)]))
+
+
+def _module_over(symbols, order):
+    """Module elements over `symbols` with coefficients of either sign,
+    1 and larger; zero coefficients drop out, so the zero element shows."""
+    ring = st.dictionaries(st.integers(0, order - 1),
+                           st.sampled_from([1, -1, 2, -3, 5, 0]), max_size=4)
+    return st.dictionaries(st.sampled_from(symbols), ring, max_size=3).map(
+        lambda d: ModuleElt({s: GroupRingElt(c) for s, c in d.items()}))
+
+
+@st.composite
+def _table_case(draw):
+    graph = draw(st.sampled_from([_S3, _Q8]))
+    n = graph.order
+    # "d" is in the codomain but no image uses it; "e" is outside it
+    images = ["a", "b", "c"] + (["e"] if draw(st.booleans()) else [])
+    mapping = {b: draw(_module_over(images, n)) for b in ("u", "v", "w")}
+    m = draw(st.one_of(st.just(ModuleElt()), _module_over(["u", "v", "w"], n)))
+    minus = draw(_module_over(["a", "b", "d", "e", "f"], n))
+    return graph, mapping, m, minus
+
+
+@given(_table_case())
+@settings(deadline=None)
+def test_translate_table_matches_apply_map(case):
+    """Pushing an element through the table gives the expansion of its
+    apply_map image; with `minus`, that minus the expansion of `minus`,
+    or None when `minus` has a symbol outside the table's columns.  The
+    dense rows are the expanded translates of each image."""
+    graph, mapping, m, minus = case
+    codomain = ["a", "b", "c", "d"]
+    table = TranslateTable(graph, codomain, mapping)
+    used = {s for img in mapping.values() for s in img.coords}
+    assert table.extra == sorted(used - set(codomain))
+    columns = codomain + table.extra
+    assert table.width == len(columns) * graph.order
+    want = expand(graph, columns, apply_map(graph, mapping, m))
+    assert table.image(m) == want
+    if set(minus.coords) <= set(columns):
+        assert table.image(m, minus) == [
+            a - b for a, b in zip(want, expand(graph, columns, minus))]
+    else:
+        assert table.image(m, minus) is None
+    assert table.rows(["w", "u"]) == [
+        expand(graph, columns, mapping[b].translated(graph, g))
+        for b in ("w", "u") for g in range(graph.order)]
 
 
 def _l1(m: ModuleElt) -> int:

@@ -15,15 +15,21 @@ and (within limits) the shortest-derivation filling under the documented
 tie-break: resulting length, leftmost position, relator declaration order,
 positive before negative, rotation offset, match length.
 
-Every node visited counts against the node budget.  At the last depth of
-an iteration each move leads to a leaf that costs one node, so the search
-counts those moves instead of building their children.  It builds a child
-there only when the child might exceed the length limit, or might be
-empty: an empty child means the word is a conjugate of a relator's
-rotation, so its cyclically reduced length must equal the relator's (the
-argument is in fill_loop).  The rotation table the moves come from is
-built once per build_h1 call and shared by its fill_loop calls; it is
-never kept beyond that call.
+Every node visited counts against the node budget.  The moves come from a
+table of the distinct rotations of the signed relators, each listing its
+copies: a relator that is a proper power, such as x^6 or (xy)^2, has equal
+rotations, and they match alike and give the same children.  The search
+builds each distinct rotation's child once per position, visits it for
+the first copy and charges the later copies' nodes in place, since a
+revisit at the same depth can only cost one node and fail (the argument
+is in fill_loop).  At the last depth of an iteration each move leads to a
+leaf that costs one node, so the search counts those moves instead of
+building their children.  It builds a child there only when the child
+might exceed the length limit, or might be empty: an empty child means
+the word is a conjugate of a relator's rotation, so its cyclically
+reduced length must equal the relator's.  The rotation table is built
+once per build_h1 call and shared by its fill_loop calls; it is never
+kept beyond that call.
 """
 
 from __future__ import annotations
@@ -71,47 +77,46 @@ def _cyclic_length(letters):
 
 
 def _rotation_table(pres):
-    """The moves of fill_loop on `pres`, whatever word it fills: every
-    cyclic rotation of every signed relator, keyed by its first letter.
+    """The moves of fill_loop on `pres`, whatever word it fills: each
+    distinct cyclic rotation of the signed relators, keyed by its first
+    letter.
 
     A letter is coded as +-(generator index + 1), so that the inverse of a
-    letter is its negation.  Returns (starts, leaves):
-    - starts[c] lists (rotation, tails, relator index, sign flag, rotation
-      offset, logged move) in key order.  tails[m] is the freely reduced
-      inverse of rot[m:], which replaces a match of length m; free
-      reduction is confluent, so reducing it here leaves every child as it
-      was.
-    - leaves[c] lists each distinct rotation of starts[c] once, as
-      (rotation, tails, cyclic length, copies, first copy's move), in the
-      order of first copies.  Copies (x^6 has six equal rotations) match
-      alike, so the last depth counts them together.  The cyclic length is
-      the length of the relator's cyclic reduction, which every rotation
-      and every conjugate of it shares."""
+    letter is its negation.  table[c] lists the distinct rotations that
+    start with c, in the key order of their first copies, each as
+    (rotation, tails, grow, size, copies):
+    - tails[m] is the freely reduced inverse of rot[m:], which replaces a
+      match of length m; free reduction is confluent, so reducing it here
+      leaves every child as it was.  grow[m] = len(tails[m]) - m.
+    - size is the length of the relator's cyclic reduction, which every
+      rotation and every conjugate of it shares.
+    - copies lists (relator index, sign flag, rotation offset, logged move)
+      for every signed rotation equal to this one (x^6 has six), in key
+      order.  Copies match alike and give the same children."""
     code = {name: k + 1 for k, name in enumerate(pres.generators)}
 
     def encode(letters):
         return tuple(code[n] * s for n, s in letters)
 
-    starts: dict[int, list] = {}
-    copies: dict[int, dict] = {}
+    table: dict[int, list] = {}
+    copies_of: dict[tuple, list] = {}
     for ri, (name, w) in enumerate(pres.relators):
         size = _cyclic_length(encode(w.letters))
-        for sign in (1, -1):
-            base = w.letters if sign == 1 else w.inv().letters
+        for flag, base in enumerate((w.letters, w.inv().letters)):
             for k in range(len(base)):
                 rot = base[k:] + base[:k]
                 coded = encode(rot)
+                copy = (ri, flag, k, (name, 1 - 2 * flag, Word(base[:k])))
+                if coded in copies_of:
+                    copies_of[coded].append(copy)
+                    continue
                 tails = [encode(Word(rot[m:]).inv().letters)
                          for m in range(len(rot) + 1)]
-                move = (name, sign, Word(base[:k]))
-                starts.setdefault(coded[0], []).append(
-                    (coded, tails, ri, 0 if sign == 1 else 1, k, move))
-                same = copies.setdefault(coded[0], {})
-                if coded in same:
-                    same[coded][3] += 1
-                else:
-                    same[coded] = [coded, tails, size, 1, move]
-    return starts, {c: list(same.values()) for c, same in copies.items()}
+                grow = [len(t) - m for m, t in enumerate(tails)]
+                copies_of[coded] = copies = [copy]
+                table.setdefault(coded[0], []).append(
+                    (coded, tails, grow, size, copies))
+    return table
 
 
 def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
@@ -127,11 +132,21 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
     its calls, and a call without it builds its own.  A letter of w that is
     not a generator gets the next free code here and matches no rotation.
 
+    Above the last depth the children of a word are sorted by key and
+    walked.  Equal rotations (copies) give one child, built once, and only
+    the first copy in key order calls dfs on it; a later copy is charged
+    its m nodes in place.  That is exact: within one depth iteration memo
+    values only rise, so once dfs(child, r) has returned None, a second
+    call on the same child costs one node and returns None (the memo stops
+    it, or depth 0 does), and the other m - 1 match lengths cost one node
+    each.  When the budget runs out on those nodes, the word named is the
+    same child either way.
+
     At the last depth every move leads to a leaf that costs one node, so
     the moves are counted, not visited, and a child is built only where
-    its length bound L - m + len(tails[m]) exceeds max_length, or where
-    it can be empty.  The child p.tails[m].s of letters = p.rot[:m].s is
-    empty exactly when p.rot[m:]^-1.s = 1 in the free group, that is, when
+    its length bound L + grow[m] exceeds max_length, or where it can be
+    empty.  The child p.tails[m].s of letters = p.rot[:m].s is empty
+    exactly when p.rot[m:]^-1.s = 1 in the free group, that is, when
     letters is the reduced conjugate p.rot.p^-1 of the rotation.  Conjugate
     words have cyclic reductions of one length, so an empty child needs
     the cyclic length of letters to equal its relator's.  When the budget
@@ -140,9 +155,7 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
     """
     if w.is_empty():
         return IDENTITY_CROSSED
-    if rotations is None:
-        rotations = _rotation_table(pres)
-    starts, leaves = rotations
+    table = _rotation_table(pres) if rotations is None else rotations
     names = tuple(dict.fromkeys(pres.generators + tuple(n for n, _ in w)))
     code = {name: k + 1 for k, name in enumerate(names)}
 
@@ -156,27 +169,31 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
     budget = limits.node_budget
 
     def children(letters):
-        """(sort key, match count, child, move, position) for every rotation
-        that matches at a position and gives a child within max_length.
+        """(length, position, relator, sign flag, rotation offset, match
+        count, child, move, first) for every signed rotation that matches
+        at a position and gives a child within max_length.  The first five
+        entries are the sort key, and no two tuples share them.
 
         Matches of length 1..m of one rotation at position i all give the
         child p.rot^-1.p^-1.letters (p = letters[:i]) freely reduced, so it
-        is built once and stands for m moves.  Their keys (length,
-        position, relator, sign, rotation offset, match length) differ only
-        in the last entry, so the m moves are adjacent in the sorted walk
-        and the key kept here leaves the match length out."""
+        is built once and stands for m moves.  Their keys differ only in
+        the match length, so the m moves are adjacent in the sorted walk
+        and the key kept here leaves the match length out.  Equal rotations
+        share the child too; `first` marks the least of their copies."""
         found = []
         L = len(letters)
         for i in range(L):
             p = letters[:i]
-            for rot, tails, ri, flag, offset, move in starts.get(letters[i], ()):
+            for rot, tails, _, _, copies in table.get(letters[i], ()):
                 top = min(len(rot), L - i)
                 m = 1
                 while m < top and letters[i + m] == rot[m]:
                     m += 1
                 child = _join(_join(p, tails[m]), letters[i + m:])
                 if len(child) <= max_length:
-                    found.append(((len(child), i, ri, flag, offset), m, child, move, i))
+                    for n, (ri, flag, offset, move) in enumerate(copies):
+                        found.append((len(child), i, ri, flag, offset, m, child,
+                                      move, n == 0))
         return found
 
     def leaf(letters):
@@ -188,18 +205,18 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
         cyclic = _cyclic_length(letters)
         moves, empty = 0, None
         for i in range(L):
-            for rot, tails, size, count, move in leaves.get(letters[i], ()):
+            for rot, tails, grow, size, copies in table.get(letters[i], ()):
                 top = min(len(rot), L - i)
                 m = 1
                 while m < top and letters[i + m] == rot[m]:
                     m += 1
-                if size == cyclic or len(tails[m]) - m > slack:
+                if size == cyclic or grow[m] > slack:
                     child = _join(_join(letters[:i], tails[m]), letters[i + m:])
                     if len(child) > max_length:
                         continue
                     if not child and empty is None:
-                        empty = (move, i)
-                moves += m * count
+                        empty = (copies[0][3], i)
+                moves += m * len(copies)
         return moves, empty
 
     def logged(move, i, letters, rest):
@@ -239,14 +256,17 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
                 budget -= moves
                 return None
         found = children(letters)
-        found.sort(key=lambda t: t[0])
-        for _, m, child, move, i in found:
-            rest = dfs(child, remaining - 1, memo)
-            if rest is not None:
-                return logged(move, i, letters, rest)
-            # The other m - 1 moves revisit the same child at the same
-            # depth: a leaf, or a word memo now stops.  Each costs one node.
-            budget -= m - 1
+        found.sort()
+        for _, i, _, _, _, m, child, move, first in found:
+            if first:
+                rest = dfs(child, remaining - 1, memo)
+                if rest is not None:
+                    return logged(move, i, letters, rest)
+                m -= 1
+            # Every other move revisits a child dfs has just left at the
+            # same depth: a leaf, or a word memo now stops.  Each costs one
+            # node.
+            budget -= m
             if budget < 0:
                 raise overspent(child)
         return None

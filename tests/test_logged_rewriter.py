@@ -8,6 +8,7 @@ from crossres import (Contraction0, CrossedElt, DEFAULT_LIMITS,
                       bfs_tree, boundary2, build_h1, enumerate_presentation,
                       fill_loop, h1_eval, mult, parse_presentation,
                       parse_word, tree_from_file, word)
+from crossres.logged_rewriter import _rotation_table
 from conftest import assert_input_errors, data_path
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])
@@ -260,7 +261,7 @@ class TestFillLoopReference:
                                             r"\(node_budget=200000\)$"):
             fill_loop(pres, loop)
 
-    @pytest.mark.parametrize("group", ["D5", "A4p", "D6", "S3conj"])
+    @pytest.mark.parametrize("group", ["D5", "A4p", "D6", "S3conj", "Q12"])
     def test_node_counting_matches_reference(self, group):
         budgets = list(range(1, 61)) + list(range(61, 3001, 37))
         edges = _non_tree_loops(REFERENCE_PRESENTATIONS[group])
@@ -278,6 +279,36 @@ class TestFillLoopReference:
         for edge, pres, loop in _non_tree_loops(REFERENCE_PRESENTATIONS[group]):
             assert (_outcome(fill_loop, pres, loop, limits)
                     == _outcome(_reference_fill_loop, pres, loop, limits)), edge
+
+
+class TestRotationTable:
+    @pytest.mark.parametrize("group", sorted(REFERENCE_PRESENTATIONS))
+    def test_each_signed_rotation_is_one_copy(self, group):
+        pres = parse_presentation(REFERENCE_PRESENTATIONS[group])
+        code = {name: k + 1 for k, name in enumerate(pres.generators)}
+        listed, distinct = [], set()
+        for c, entries in _rotation_table(pres).items():
+            firsts = []
+            for rot, tails, grow, size, copies in entries:
+                assert rot[0] == c and rot not in distinct
+                distinct.add(rot)
+                assert grow == [len(t) - m for m, t in enumerate(tails)]
+                keys = [(ri, flag, offset) for ri, flag, offset, _ in copies]
+                for ri, flag, offset, move in copies:
+                    name, w = pres.relators[ri]
+                    base = (w if flag == 0 else w.inv()).letters
+                    rotated = base[offset:] + base[:offset]
+                    assert tuple(code[n] * s for n, s in rotated) == rot
+                    assert move == (name, 1 - 2 * flag, Word(base[:offset]))
+                assert keys == sorted(keys)  # equal rotations in key order
+                listed += keys
+                firsts.append(keys[0])
+            # leaf reads this order to report the least empty child
+            assert firsts == sorted(firsts)
+        assert len(listed) == 2 * sum(len(w) for _, w in pres.relators)
+        assert set(listed) == {(ri, flag, k)
+                               for ri, (_, w) in enumerate(pres.relators)
+                               for flag in (0, 1) for k in range(len(w))}
 
 
 def _least_budget(pres, loop, limits):

@@ -94,30 +94,30 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # RunConfig holds every default: an option left out is absent from the
+    # parsed namespace, so the dataclass fills it in
     parser = argparse.ArgumentParser(
-        prog="crossres",
+        prog="crossres", argument_default=argparse.SUPPRESS,
         description="Compute identities among relations of a finite "
                     "presentation and extend them to a free crossed "
                     "resolution, in exact integer arithmetic.")
     parser.add_argument("presentation", help="presentation file")
-    parser.add_argument("--max-level", type=int, default=3, metavar="N",
-                        help="compute levels 3..N (default 3)")
-    parser.add_argument("--tree", default="bfs", metavar="bfs|FILE",
+    parser.add_argument("--max-level", type=int, metavar="N",
+                        help=f"compute levels 3..N (default {RunConfig.max_level})")
+    parser.add_argument("--tree", metavar="bfs|FILE",
                         help="spanning tree: breadth-first or an edge file")
-    parser.add_argument("--h1", default="search", metavar="search|FILE",
+    parser.add_argument("--h1", metavar="search|FILE",
                         help="level-1 homotopy: logged search or a table file")
-    parser.add_argument("--order", default="declared",
-                        metavar="declared|support|FILE",
+    parser.add_argument("--order", metavar="declared|support|FILE",
                         help="candidate reduction order")
-    parser.add_argument("--max-depth", type=int,
-                        default=DEFAULT_LIMITS.max_depth, metavar="N",
+    parser.add_argument("--max-depth", type=int, metavar="N",
                         help="logged-rewriting search depth limit")
-    parser.add_argument("--max-cosets", type=int, default=100000, metavar="N",
+    parser.add_argument("--max-cosets", type=int, metavar="N",
                         help="coset enumeration size limit")
-    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.add_argument("--format", choices=("table", "json"))
     parser.add_argument("--verify", action="store_true",
                         help="replay all stored invariants; nonzero exit on failure")
-    parser.add_argument("--out", default=None, metavar="DIR",
+    parser.add_argument("--out", metavar="DIR",
                         help="write tables.txt, state.json (and verify.txt) to DIR")
     args = parser.parse_args(argv)
     try:

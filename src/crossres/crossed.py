@@ -144,10 +144,10 @@ def unit(sym, g: int = 0, c: int = 1) -> ModuleElt:
 
 
 def abelianise(a: CrossedElt, graph) -> ModuleElt:
-    """(r^e)^u  ->  e . e_r . phi(u), summed over factors."""
+    """(r^e)^u  ->  e . e_r . φ(u), summed over factors."""
     coords: dict[str, dict[int, int]] = {}
     for name, sign, u in a.factors:
-        g = graph.phi(u)
+        g = graph.eval_word(u)
         row = coords.setdefault(name, {})
         row[g] = row.get(g, 0) + sign
     return ModuleElt({name: GroupRingElt(row) for name, row in coords.items()})

@@ -3,7 +3,7 @@ maximal trees, and the degree-0 contraction (section sigma, retraction rho).
 
 The group is always the full group of the presentation (enumeration over the
 trivial subgroup), so the coset table IS the Cayley graph: vertices are
-element indices with 0 = identity, and (g, x) is the arrow g -> g.phi(x).
+element indices with 0 = identity, and (g, x) is the arrow g -> g.φ(x).
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class Presentation:
         rels = tuple((name, w) for name, w in relators)
         seen = set()
         for name, w in rels:
-            if not name or any(ch.isspace() for ch in name):
+            # "@" separates a factor's relator from its conjugator in
+            # stored consequences, so a name holding it would not read back
+            if not name or "@" in name or any(ch.isspace() for ch in name):
                 raise PresentationError(f"invalid relator name {name!r}")
             if name in seen:
                 raise PresentationError(f"duplicate relator name {name!r}")
@@ -159,7 +161,7 @@ class _Enumerator:
 class CayleyGraph:
     """The finite group as its Cayley graph on the presentation generators.
 
-    fwd[g][k] / bwd[g][k] give g.phi(x_k) and g.phi(x_k)^-1; word_rep[g] is
+    fwd[g][k] / bwd[g][k] give g.φ(x_k) and g.φ(x_k)^-1; word_rep[g] is
     the breadth-first shortlex positive word for g (word_rep[0] is empty).
     _names[g] is word_rep[g] rendered, and _by_name inverts it.
     _right[b] is the column h -> h.b, filled at construction by the same
@@ -213,20 +215,13 @@ class CayleyGraph:
         except ValueError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def apply(self, g: int, k: int, sign: int) -> int:
-        return self.fwd[g][k] if sign == 1 else self.bwd[g][k]
-
     def eval_word(self, w: Word, start: int = 0) -> int:
+        """The element start.φ(w) reached by following w from `start`."""
         g = start
         for name, sign in w:
-            g = self.apply(g, self.gen_index(name), sign)
+            k = self.gen_index(name)
+            g = self.fwd[g][k] if sign == 1 else self.bwd[g][k]
         return g
-
-    def phi(self, w: Word) -> int:
-        return self.eval_word(w, 0)
-
-    def letter_elt(self, name: str, sign: int) -> int:
-        return self.apply(0, self.gen_index(name), sign)
 
     def mult(self, a: int, b: int) -> int:
         return self._right[b][a]
@@ -242,7 +237,7 @@ class CayleyGraph:
         up, any other spelling is parsed and evaluated."""
         g = self._by_name.get(text)
         if g is None:
-            g = self.phi(parse_word(text, self.gens))
+            g = self.eval_word(parse_word(text, self.gens))
         return g
 
 
@@ -368,7 +363,7 @@ class Contraction0:
 
     def rho(self, g: int, u: Word) -> Word:
         """The loop at 1 obtained by conjugating the path (g, u) into the
-        tree: sigma(g) . u . sigma(g.phi(u))^-1, freely reduced."""
+        tree: sigma(g) . u . sigma(g.φ(u))^-1, freely reduced."""
         h = self.graph.eval_word(u, g)
         return self.sigma[g] * u * self.sigma[h].inv()
 

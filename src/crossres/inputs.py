@@ -17,7 +17,7 @@ File formats (`#` starts a comment; blank lines are ignored):
                  `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`.
                  Pins are validated by exact replay against the boundary.
   table file     |G| rows of |X| element indices: row g, column k holds
-                 g.phi(x_k), and row 0 is the identity.
+                 g.φ(x_k), and row 0 is the identity.
 
 Every reader raises InputError, whose message starts with `path:line:`
 for a fault on one line and with `path:` for a fault of the whole file
@@ -169,7 +169,7 @@ def h1_entries(path, contraction) -> dict:
 
 def load_table(path, pres: Presentation) -> CayleyGraph:
     """Load a Cayley table: |G| rows of |X| whitespace-separated element
-    indices, row g column k holding g.phi(x_k).  Row 0 is the identity.
+    indices, row g column k holding g.φ(x_k).  Row 0 is the identity.
 
     Validates that every column is a permutation, the action is transitive
     from 0, every relator fixes every vertex, and all Schreier elements act

@@ -1,4 +1,4 @@
-"""Logged filling: express a word with phi(w) = 1 as a consequence of the
+"""Logged filling: express a word with φ(w) = 1 as a consequence of the
 relators, i.e. find a CrossedElt whose boundary2 is exactly w.
 
 The search applies "logged relator moves": replace a subword m of the
@@ -125,7 +125,7 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
 
     Raises FillError when no filling is found within limits (the word may
     then be given more depth, or supplied through an h1 override file).
-    The caller is responsible for phi(w) = 1; a filling found here proves
+    The caller is responsible for φ(w) = 1; a filling found here proves
     it, and no filling exists otherwise.
 
     `rotations` is `_rotation_table(pres)`; build_h1 builds it once for all
@@ -343,7 +343,7 @@ def build_h1(contraction: Contraction0, source="search",
 
 def h1_eval(table: H1Table, g: int, u: Word) -> CrossedElt:
     """h1 of the path that starts at g and reads u, by the morphism law
-    h1(g, uv) = h1(g, u) . h1(g.phi(u), v).  Tree arrows contribute
+    h1(g, uv) = h1(g, u) . h1(g.φ(u), v).  Tree arrows contribute
     nothing; a reversed arrow contributes the inverse of its entry."""
     graph = table.graph
     out = IDENTITY_CROSSED

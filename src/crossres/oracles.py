@@ -146,7 +146,7 @@ class BarResolution:
 
     def h2(self, a: int, c: CrossedElt) -> ModuleElt:
         """Lift of a consequence based at a, factor by factor: a pair
-        factor conjugated by u is read at base a.phi(u)^-1."""
+        factor conjugated by u is read at base a.φ(u)^-1."""
         total = ZERO_MODULE
         for name, sign, u in c.factors:
             base = self.graph.mult(a, self.graph.inv_elt(self.phi_word(u)))

@@ -35,7 +35,7 @@ from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
 from .logged_rewriter import H1Table, h1_eval
 from .words import GroupRingElt, Word, fox_derivative, parse_word
 from .zg_lattice import IntSpan, Lattice, OrbitLattice, TranslateTable, \
-    expand, member_solve, orbit_rows
+    expand, member_solve
 # unused here; bench/tracing.py looks them up in this module to time them
 from .crossed import apply_map  # noqa: F401
 from .zg_lattice import kernel_lattice  # noqa: F401
@@ -170,11 +170,14 @@ def reduce_level(state: ResolutionState, n: int, candidates,
     codomain = (list(state.presentation.relator_names()) if n == 3
                 else [sym for sym, _ in state.levels[n - 1].basis])
     span = IntSpan(len(codomain) * graph.order)
+    table = TranslateTable(graph, codomain, {})
     basis: list[tuple[str, Tag]] = []
     for cand in candidates:
         if not span.contains(expand(graph, codomain, cand.form)):
-            basis.append((f"b{n}_{len(basis) + 1}", cand.tag))
-            span.add(*orbit_rows(graph, codomain, cand.form))
+            sym = f"b{n}_{len(basis) + 1}"
+            basis.append((sym, cand.tag))
+            table.add(sym, cand.form)
+            span.add(*table.rows([sym]))
     level = Level(n, codomain, basis, list(candidates), {})
     symbol_of_tag = level.symbol_of_tag
 
@@ -189,7 +192,6 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                 f"level {n}: {names}")
 
     lattice = OrbitLattice(graph, codomain, list(level.boundary.values()), span)
-    table = TranslateTable(graph, codomain, level.boundary)
     for cand in candidates:
         sym = symbol_of_tag[cand.tag]
         if sym is not None:
@@ -293,7 +295,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     def add(check, level, element, ok, detail=""):
         rows.append((check, level, element, ok, detail))
 
-    # retr2: sigma is a section of phi, based at the identity.
+    # retr2: sigma is a section of φ, based at the identity.
     for g in range(graph.order):
         ok = graph.eval_word(state.contraction.sigma[g], 0) == g
         add("retr2", 0, graph.elt_name(g), ok,
@@ -510,16 +512,25 @@ def import_json(text: str) -> ResolutionState:
         for c in entry["candidates"]:
             tag = (graph.elt_by_name(c["tag"][0]), c["tag"][1])
             cf = None
-            if "candidates_crossed" in entry:
-                cf = parse_crossed(
-                    entry["candidates_crossed"][f"{c['tag'][0]} {c['tag'][1]}"],
-                    rel_names, gens, words)
+            if n == 3:
+                ctext = entry.get("candidates_crossed", {}).get(
+                    f"{c['tag'][0]} {c['tag'][1]}")
+                if ctext is None:
+                    raise ValueError(f"level 3: candidate {_tag_text(graph, tag)} "
+                                     f"has no crossed form")
+                cf = parse_crossed(ctext, rel_names, gens, words)
             cands.append(Candidate(tag, _parse_module(graph, c["form"]), cf))
         xi = {}
         for key, data in entry["xi"].items():
             head, name = key.rsplit(" ", 1)
             xi[(graph.elt_by_name(head), name)] = \
                 _parse_module(graph, data)
+        # verify_state replays xi at every candidate tag, and only there
+        odd = sorted(xi.keys() ^ {c.tag for c in cands})
+        if odd:
+            what = ("has an xi entry but is not a candidate" if odd[0] in xi
+                    else "is a candidate with no xi entry")
+            raise ValueError(f"level {n}: tag {_tag_text(graph, odd[0])} {what}")
         # the Level derives a kept symbol's boundary (and level-3 crossed
         # form) from its candidate, so the stored copies must agree
         by_tag = {c.tag: c for c in cands}

@@ -196,27 +196,24 @@ class GroupRingElt:
 ZERO_ZG = GroupRingElt()
 
 
-def zg_unit(g: int = 0, c: int = 1) -> GroupRingElt:
-    return GroupRingElt({g: c})
-
-
 def fox_derivative(w: Word, x: str, graph) -> GroupRingElt:
-    """The free derivative d w / d x of a word, evaluated through phi into ZG.
+    """The free derivative d w / d x of a word, evaluated through φ into ZG.
 
-    Right-module convention: d(uv)/dx = (du/dx).phi(v) + dv/dx, with
-    dx/dx = 1 and d(x^-1)/dx = -phi(x^-1).  A single right-to-left pass
-    keeps t = phi(current suffix): a letter x contributes +t, a letter
+    Right-module convention: d(uv)/dx = (du/dx).φ(v) + dv/dx, with
+    dx/dx = 1 and d(x^-1)/dx = -φ(x^-1).  A single right-to-left pass
+    keeps t = φ(current suffix): a letter x contributes +t, a letter
     x^-1 first folds itself into the suffix and then contributes -t.
     """
     out: dict[int, int] = {}
     t = 0  # identity index
     for name, sign in reversed(w.letters):
+        k = graph.gen_index(name)
         if sign == 1:
             if name == x:
                 out[t] = out.get(t, 0) + 1
-            t = graph.mult(graph.letter_elt(name, 1), t)
+            t = graph.mult(graph.fwd[0][k], t)
         else:
-            t = graph.mult(graph.letter_elt(name, -1), t)
+            t = graph.mult(graph.bwd[0][k], t)
             if name == x:
                 out[t] = out.get(t, 0) - 1
     return GroupRingElt(out)

@@ -20,8 +20,9 @@ same as with dense loops.
 A `TranslateTable` lists each right translate mapping[b].g of a ZG-linear
 map's images once, as such pairs read off the Cayley graph's columns.
 Pushing an element through it is apply_map on expanded coordinates, and
-its dense rows are the map's matrix: certificate checks and every replay
-check of `verify_state` read one table per level.
+its dense rows are the map's matrix: `reduce_level` grows one table per
+level for its span rows and certificate checks, and every replay check of
+`verify_state` reads one table per level.
 """
 
 from __future__ import annotations
@@ -291,9 +292,10 @@ class OrbitLattice(Lattice):
         n = graph.order
         n_inputs = len(gens) * n
         if span is None:
-            span = IntSpan(len(basis) * n)
-            for m in gens:
-                span.add(*orbit_rows(graph, basis, m))
+            span, table = IntSpan(len(basis) * n), TranslateTable(graph, basis, {})
+            for j, m in enumerate(gens):
+                table.add(j, m)
+                span.add(*table.rows([j]))
         elif span.size != n_inputs:
             raise ValueError(f"span holds {span.size} input rows, "
                              f"the generators have {n_inputs} translates")
@@ -438,19 +440,14 @@ def _hnf_certificate(lat: OrbitLattice, vec):
             for j in range(len(lat.gens))]
 
 
-def orbit_rows(graph, basis, m: ModuleElt) -> list[list[int]]:
-    """The |G| translates m.g, expanded over `basis`, in element order."""
-    return [expand(graph, basis, m.translated(graph, g))
-            for g in range(graph.order)]
-
-
 class TranslateTable:
     """The ZG-linear map b -> mapping[b] on expanded coordinates:
     `translates[b][g]` lists the (position, value) pairs of mapping[b].g
     over `codomain`.  A symbol that an image uses outside `codomain` (a
-    faulty level) gets a block after it and is listed in `extra`."""
+    faulty level) gets a block after it and is listed in `extra`.  `add`
+    extends the map by one more symbol."""
 
-    __slots__ = ("width", "index", "extra", "translates")
+    __slots__ = ("width", "index", "extra", "translates", "_columns")
 
     def __init__(self, graph, codomain, mapping):
         n = graph.order
@@ -459,13 +456,17 @@ class TranslateTable:
                             - index.keys())
         index.update((s, i * n) for i, s in enumerate(self.extra, len(codomain)))
         self.width = (len(codomain) + len(self.extra)) * n
-        self.index, self.translates = index, {}
+        self.index, self.translates, self._columns = index, {}, graph._right
         for b, m in mapping.items():
-            # the coefficient of (s, h) moves to index[s] + h.g
-            pairs = [(index[s], h, c) for s, ring in m.coords.items()
-                     for h, c in ring.coeffs.items()]
-            self.translates[b] = [[(i + col[h], c) for i, h, c in pairs]
-                                  for col in graph._right]
+            self.add(b, m)
+
+    def add(self, sym, form: ModuleElt):
+        """Map `sym` to `form`, whose symbols must all have a block."""
+        # the coefficient of (s, h) moves to index[s] + h.g
+        pairs = [(self.index[s], h, c) for s, ring in form.coords.items()
+                 for h, c in ring.coeffs.items()]
+        self.translates[sym] = [[(i + col[h], c) for i, h, c in pairs]
+                                for col in self._columns]
 
     def image(self, m: ModuleElt, minus: ModuleElt = ZERO_MODULE):
         """The expanded image of m minus the expansion of `minus`, as a

@@ -2,9 +2,11 @@ import os
 
 import pytest
 
-from crossres import (Contraction0, InputError, Presentation, RunConfig,
-                      bfs_tree, build_h1, build_state, enumerate_presentation,
-                      parse_word)
+from crossres import InputError, RunConfig, build_state
+from crossres.group_core import (Contraction0, Presentation, bfs_tree,
+                                 enumerate_presentation)
+from crossres.logged_rewriter import build_h1
+from crossres.words import parse_word
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

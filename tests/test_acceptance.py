@@ -7,18 +7,22 @@ equality; the stated time bounds are asserted with a monotonic clock.
 
 import time
 
-from crossres import (BarResolution, GroupRingElt, ModuleElt, Presentation,
-                      abelianise, apply_map, bar_check_boundaries,
-                      bar_check_homotopy, boundary2, build_state,
-                      compute_delta3, cyclic_resolution, cyclic_ring,
-                      enumerate_presentation, export_json, extend_resolution,
-                      fox_matrix_map, import_json, kernel_lattice,
-                      level3_candidates, order_candidates, parse_crossed,
-                      parse_presentation, parse_word, reduce_level, OrbitLattice, unit,
-                      verify_state, word)
-from crossres.syzygy_engine import ResolutionState
+from crossres import build_state, export_json, import_json, verify_state
+from crossres.crossed import (ModuleElt, abelianise, apply_map, boundary2,
+                              parse_crossed, unit)
+from crossres.group_core import (Contraction0, Presentation, bfs_tree,
+                                 enumerate_presentation)
+from crossres.inputs import parse_presentation
 from crossres.logged_rewriter import build_h1
-from crossres.group_core import Contraction0, bfs_tree
+from crossres.oracles import (BarResolution, bar_check_boundaries,
+                              bar_check_homotopy, cyclic_resolution,
+                              cyclic_ring)
+from crossres.syzygy_engine import (ResolutionState, compute_delta3,
+                                    extend_resolution, fox_matrix_map,
+                                    level3_candidates, order_candidates,
+                                    reduce_level)
+from crossres.words import GroupRingElt, parse_word, word
+from crossres.zg_lattice import OrbitLattice, kernel_lattice
 from conftest import data_path, s3_config
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 import crossres
 import crossres.cli as cli
 from crossres import (FillError, InputError, RunConfig, build_state,
-                      export_json, import_json, main, parse_order_file,
-                      parse_presentation, run, verify_state)
+                      export_json, import_json, main, verify_state)
+from crossres.inputs import parse_order_file, parse_presentation
 from conftest import data_path, s3_config
 
 
@@ -201,6 +201,25 @@ class TestMain:
         assert main([data_path("s3.pres"), "--max-level", "1"]) == 2
         assert main([data_path("s3.pres"), "--max-cosets", "2"]) == 2
 
+    def test_relator_name_with_at_sign(self, tmp_path, capsys):
+        """`@` ends the relator name of a stored factor, so a relator name
+        holding it is refused before anything is built or written."""
+        pres = tmp_path / "at.pres"
+        pres.write_text("gens: x\nrel a@b = x^3\n")
+        assert main([str(pres), "--verify", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {pres}: invalid relator name 'a@b'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_defaults_come_from_run_config(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+        path = data_path("s3.pres")
+        assert main([path]) == 0
+        assert main([path, "--verify"]) == 0
+        assert seen == [RunConfig(presentation=path),
+                        RunConfig(presentation=path, verify=True)]
+
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "verify_state",
@@ -237,6 +256,15 @@ class TestMain:
             outputs.append(proc.stdout)
         first, second = outputs
         assert first and first == second
+
+
+def test_package_root_exports_the_documented_api():
+    assert sorted(crossres.__all__) == sorted([
+        "RunConfig", "build_state", "run", "main", "export_json",
+        "import_json", "verify_state", "render_tables", "InputError",
+        "FillError"])
+    for name in crossres.__all__:
+        assert callable(getattr(crossres, name)), name
 
 
 def test_readme_library_snippet(monkeypatch, capsys):

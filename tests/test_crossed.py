@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crossres import (CrossedElt, EMPTY, GroupRingElt, IDENTITY_CROSSED,
-                      ModuleElt, Word, ZERO_MODULE, abelianise, act,
-                      apply_map, boundary2, crossed, inv, mult, parse_crossed,
-                      parse_presentation, parse_word, render_crossed, unit,
-                      word)
+from crossres.crossed import (CrossedElt, IDENTITY_CROSSED, ModuleElt,
+                              ZERO_MODULE, abelianise, act, apply_map,
+                              boundary2, crossed, inv, mult, parse_crossed,
+                              render_crossed, unit)
+from crossres.inputs import parse_presentation
+from crossres.words import EMPTY, GroupRingElt, Word, parse_word, word
 from conftest import data_path
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])
@@ -81,7 +82,7 @@ def test_abelianise_additive(s3_graph, a, b):
 @given(crossed_elts, conjugators)
 def test_abelianise_of_action_translates(s3_graph, a, u):
     assert abelianise(act(a, u), s3_graph) \
-        == abelianise(a, s3_graph).translated(s3_graph, s3_graph.phi(u))
+        == abelianise(a, s3_graph).translated(s3_graph, s3_graph.eval_word(u))
 
 
 def test_abelianise_frozen(s3_graph):

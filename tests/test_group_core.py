@@ -1,10 +1,11 @@
 import pytest
 
-from crossres import (CayleyGraph, Contraction0, EnumerationOverflow,
-                      GroupRingElt, MaximalTree, Presentation,
-                      PresentationError, TreeError, bfs_tree,
-                      enumerate_presentation, load_table, parse_word,
-                      parse_presentation, render_zg, tree_from_file, word)
+from crossres.group_core import (Contraction0, EnumerationOverflow,
+                                 MaximalTree, Presentation, PresentationError,
+                                 TreeError, bfs_tree, enumerate_presentation,
+                                 render_zg)
+from crossres.inputs import load_table, parse_presentation, tree_from_file
+from crossres.words import GroupRingElt, parse_word, word
 from conftest import assert_input_errors, data_path
 
 
@@ -49,12 +50,12 @@ class TestEnumeration:
 
     def test_multiplication(self, s3_graph):
         x, y = 1, 3
-        assert s3_graph.mult(x, y) == s3_graph.phi(parse_word("x y"))
-        assert s3_graph.mult(y, x) == s3_graph.phi(parse_word("y x"))
+        assert s3_graph.mult(x, y) == s3_graph.eval_word(parse_word("x y"))
+        assert s3_graph.mult(y, x) == s3_graph.eval_word(parse_word("y x"))
         for g in range(6):
             assert s3_graph.mult(g, s3_graph.inv_elt(g)) == 0
-        assert s3_graph.apply(0, s3_graph.gen_index("x"), 1) == 1
-        assert s3_graph.letter_elt("y", -1) == s3_graph.inv_elt(3)
+        assert s3_graph.fwd[0][s3_graph.gen_index("x")] == 1
+        assert s3_graph.bwd[0][s3_graph.gen_index("y")] == s3_graph.inv_elt(3)
         assert s3_graph.elt_by_name("x y") == 4
 
     @pytest.mark.parametrize("name", ["s3.pres", "q8.pres", "c4.pres"])
@@ -122,7 +123,7 @@ class TestLoadTable:
     def test_c4_fixture(self):
         graph = load_table(data_path("c4.table"), cyclic(4))
         assert graph.order == 4
-        assert graph.apply(3, 0, 1) == 0
+        assert graph.fwd[3][0] == 0
 
     def test_rejects_bad_tables(self, tmp_path):
         pres = cyclic(4)

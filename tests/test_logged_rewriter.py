@@ -3,12 +3,14 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
-from crossres import (Contraction0, CrossedElt, DEFAULT_LIMITS,
-                      IDENTITY_CROSSED, FillError, FillLimits, H1Table, Word,
-                      bfs_tree, boundary2, build_h1, enumerate_presentation,
-                      fill_loop, h1_eval, mult, parse_presentation,
-                      parse_word, tree_from_file, word)
-from crossres.logged_rewriter import _rotation_table
+from crossres import FillError
+from crossres.crossed import CrossedElt, IDENTITY_CROSSED, boundary2, mult
+from crossres.group_core import Contraction0, bfs_tree, enumerate_presentation
+from crossres.inputs import parse_presentation, tree_from_file
+from crossres.logged_rewriter import (DEFAULT_LIMITS, FillLimits, H1Table,
+                                      _rotation_table, build_h1, fill_loop,
+                                      h1_eval)
+from crossres.words import Word, parse_word, word
 from conftest import assert_input_errors, data_path
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])

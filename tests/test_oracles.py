@@ -1,10 +1,12 @@
 import pytest
 
-from crossres import (BarResolution, ModuleElt, Presentation,
-                      bar_check_boundaries, bar_check_homotopy,
-                      boundary2, cyclic_ring,
-                      cyclic_resolution, enumerate_presentation, export_json,
-                      import_json, verify_state, word)
+from crossres import export_json, import_json, verify_state
+from crossres.crossed import ModuleElt, boundary2
+from crossres.group_core import Presentation, enumerate_presentation
+from crossres.oracles import (BarResolution, bar_check_boundaries,
+                              bar_check_homotopy, cyclic_resolution,
+                              cyclic_ring)
+from crossres.words import word
 
 
 @pytest.fixture(scope="module")

@@ -6,14 +6,16 @@ import os
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crossres import (GroupRingElt, ModuleElt, RunConfig, abelianise, apply_map,
-                      boundary2, build_state, compute_delta3, export_json,
-                      extend_resolution, fox_matrix_map, homotopy_eval,
-                      import_json, kernel_lattice, level3_candidates,
-                      order_candidates, parse_word, reduce_level,
-                      render_crossed, render_tables, OrbitLattice, unit,
-                      syzygy_engine, verify_state, zg_lattice)
-from crossres.syzygy_engine import ResolutionState
+from crossres import (RunConfig, build_state, export_json, import_json,
+                      render_tables, syzygy_engine, verify_state, zg_lattice)
+from crossres.crossed import (ModuleElt, abelianise, apply_map, boundary2,
+                              render_crossed, unit)
+from crossres.syzygy_engine import (ResolutionState, compute_delta3,
+                                    fox_matrix_map, homotopy_eval,
+                                    level3_candidates, order_candidates,
+                                    reduce_level)
+from crossres.words import GroupRingElt, parse_word
+from crossres.zg_lattice import OrbitLattice, kernel_lattice
 from conftest import data_path, s3_config
 
 
@@ -276,6 +278,45 @@ class TestVerifyAndSerialize:
             stored[f"b{n}_1"] = stored[f"b{n}_2"]
             with pytest.raises(ValueError, match=f"level {n}: .* b{n}_1 "):
                 import_json(json.dumps(doc))
+
+    @staticmethod
+    def _c4_l4_doc():
+        return json.loads(export_json(build_state(
+            RunConfig(presentation=data_path("c4.pres"), max_level=4))))
+
+    def test_import_rejects_a_candidate_without_xi(self):
+        """A level whose xi lacks a candidate's tag is refused, naming the
+        level and the tag; verify_state would fail on it with a KeyError."""
+        doc = self._c4_l4_doc()
+        xi = doc["levels"]["4"]["xi"]
+        key = sorted(xi)[0]
+        del xi[key]
+        head, name = key.rsplit(" ", 1)
+        with pytest.raises(ValueError,
+                           match=rf"level 4: tag \({head}, {name}\) is a "
+                                 rf"candidate with no xi entry"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_xi_for_a_non_candidate(self):
+        doc = self._c4_l4_doc()
+        doc["levels"]["4"]["xi"]["x b3_9"] = {}
+        with pytest.raises(ValueError,
+                           match=r"level 4: tag \(x, b3_9\) has an xi entry "
+                                 r"but is not a candidate"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_level3_without_crossed_forms(self, tmp_path):
+        """<x | x> keeps no level-3 generator, so only candidates_crossed
+        holds the crossed forms; without it the level is refused."""
+        pres = tmp_path / "trivial.pres"
+        pres.write_text("gens: x\nrel r = x\n")
+        doc = json.loads(export_json(build_state(
+            RunConfig(presentation=str(pres)))))
+        assert doc["levels"]["3"]["basis"] == []
+        del doc["levels"]["3"]["candidates_crossed"]
+        with pytest.raises(ValueError,
+                           match=r"level 3: candidate \(1, r\) has no crossed form"):
+            import_json(json.dumps(doc))
 
     def test_render_tables_mentions_every_tag(self, s3_state):
         out = render_tables(s3_state)

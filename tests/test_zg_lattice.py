@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossres import (GroupRingElt, Lattice, ModuleElt, OrbitLattice,
-                      apply_map, enumerate_presentation, expand,
-                      fox_matrix_map, kernel_lattice,
-                      member_solve, unexpand, unit, word,
-                      Presentation)
-from crossres.zg_lattice import IntSpan, TranslateTable, _greedy_certificate, \
-    _hnf_in_place, _reduce
+from crossres.crossed import ModuleElt, apply_map, unit
+from crossres.group_core import Presentation, enumerate_presentation
+from crossres.syzygy_engine import fox_matrix_map
+from crossres.words import GroupRingElt, word
+from crossres.zg_lattice import (IntSpan, Lattice, OrbitLattice,
+                                 TranslateTable, _greedy_certificate,
+                                 _hnf_in_place, _reduce, expand,
+                                 kernel_lattice, member_solve, unexpand)
 
 
 def test_expand_unexpand_round_trip(s3_graph):

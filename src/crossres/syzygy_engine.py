@@ -100,10 +100,11 @@ def compute_delta3(state: ResolutionState, g: int, rname: str) -> CrossedElt:
 def level3_candidates(state: ResolutionState) -> list[Candidate]:
     """All (g, r) tags in declared order: g ascending, relators as declared."""
     out = []
+    elts: dict = {}  # conjugator -> element, for this call only
     for g in range(state.graph.order):
         for rname in state.presentation.relator_names():
             c = compute_delta3(state, g, rname)
-            out.append(Candidate((g, rname), abelianise(c, state.graph), c))
+            out.append(Candidate((g, rname), abelianise(c, state.graph, elts), c))
     return out
 
 
@@ -305,6 +306,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
 
     # retr3: h1 entries bound the tree-contracted loops.
     letters: dict = {}  # factor -> boundary2 letters, for this call only
+    elts: dict = {}     # conjugator -> element, for this call only
     for (g, k), c in sorted(state.h1.entries.items()):
         want = state.contraction.rho(g, Word(((graph.gens[k], 1),)))
         got = boundary2(c, pres, letters)
@@ -321,7 +323,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
         # stored crossed forms agree with stored module forms (level 3)
         if n == 3:
             for cand in level.candidates:
-                ok = abelianise(cand.crossed_form, graph) == cand.form
+                ok = abelianise(cand.crossed_form, graph, elts) == cand.form
                 add("consistency", n, _tag_text(graph, cand.tag), ok,
                     "" if ok else "abelianised crossed form != module form")
                 w = boundary2(cand.crossed_form, pres, letters)
@@ -386,27 +388,69 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
 # serialization
 
 
-def _render_module(graph, m: ModuleElt):
-    return {sym: {graph.elt_name(g): str(c) for g, c in ring.items()}
-            for sym, ring in m.items()}
+def _element_keys(graph):
+    """The element-name table of one export: for element g, its JSON key
+    text up to the opening quote of a coefficient (`"x y": "`), and its
+    rank among the names in string order, which is json.dumps's
+    sort_keys order."""
+    names = [graph.elt_name(g) for g in range(graph.order)]
+    rank = [0] * graph.order
+    for r, g in enumerate(sorted(range(graph.order), key=names.__getitem__)):
+        rank[g] = r
+    return [encode_basestring_ascii(name) + ': "' for name in names], rank
 
 
-def _parse_module(graph, data) -> ModuleElt:
+def _parse_module(graph, data, n) -> ModuleElt:
+    """A module written as {symbol: {element name: coefficient text}}.
+    Canonical names are looked up, other spellings parsed; a ring that
+    names one element twice is refused, naming level `n`."""
+    by_name = graph._by_name
     coords = {}
     for sym, ring in data.items():
-        coords[sym] = GroupRingElt(
-            {graph.elt_by_name(wtext): int(c)
-             for wtext, c in ring.items()})
+        try:
+            row = {by_name[wtext]: int(c) for wtext, c in ring.items()}
+        except KeyError:
+            row = {graph.elt_by_name(wtext): int(c) for wtext, c in ring.items()}
+        if len(row) != len(ring):
+            seen = set()
+            for wtext in ring:
+                g = graph.elt_by_name(wtext)
+                if g in seen:
+                    raise ValueError(
+                        f"level {n}: a ring of {sym} names element "
+                        f"{graph.elt_name(g)} twice")
+                seen.add(g)
+        coords[sym] = GroupRingElt(row)
     return ModuleElt(coords)
 
 
-def _emit(node, pad, out):
+def _emit(node, pad, out, elements=None):
     """Append to `out` the text json.dumps(node, sort_keys=True, indent=1)
-    gives for a tree of str, list and dict nested `pad` deep; any other
-    type is a TypeError.  (json.dumps with an indent runs the pure-Python
-    encoder; this emitter does the same work with less overhead.)"""
+    gives for a tree of str, list and dict nested `pad` deep, where a
+    ModuleElt stands for {symbol: {element name: str(coefficient)}};
+    any other type is a TypeError.  `elements` is the `_element_keys`
+    table a ModuleElt is written with.  (json.dumps with an indent runs
+    the pure-Python encoder; this emitter does the same work with less
+    overhead, and writes a module without building its dict.)"""
     if isinstance(node, str):
         out.append(encode_basestring_ascii(node))
+        return
+    if isinstance(node, ModuleElt):
+        if not node:
+            out.append("{}")
+            return
+        keys, rank = elements
+        inner = pad + " "
+        between = ",\n" + inner + " "
+        sep = "{\n" + inner
+        for sym, ring in sorted(node.coords.items()):
+            coeffs = ring.coeffs
+            out.append(sep + encode_basestring_ascii(sym) + ": {\n" + inner + " "
+                       + between.join([keys[g] + str(coeffs[g]) + '"' for g
+                                       in sorted(coeffs, key=rank.__getitem__)])
+                       + "\n" + inner + "}")
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
         return
     if isinstance(node, dict):
         items, open_, close = sorted(node.items()), "{", "}"
@@ -419,32 +463,41 @@ def _emit(node, pad, out):
         return
     inner = pad + " "
     sep = open_ + "\n" + inner
+    keyed = open_ == "{"
     for item in items:
-        out.append(sep)
-        if open_ == "{":
+        if keyed:
             key, item = item
-            out.append(encode_basestring_ascii(key) + ": ")
-        _emit(item, inner, out)
+            head = sep + encode_basestring_ascii(key) + ": "
+        else:
+            head = sep
+        if isinstance(item, str):  # a leaf is written here, without a call
+            out.append(head + encode_basestring_ascii(item))
+        else:
+            out.append(head)
+            _emit(item, inner, out, elements)
         sep = ",\n" + inner
     out.append("\n" + pad + close)
 
 
 def export_json(state: ResolutionState) -> str:
     """state.json text: the bytes of json.dumps(doc, sort_keys=True,
-    indent=1) plus a final newline."""
+    indent=1) plus a final newline, where every candidate form, kept
+    boundary and xi entry is written as {symbol: {element name:
+    coefficient text}}.  The document holds those modules as ModuleElts:
+    `_emit` writes each one straight to its text at its indent, sorting
+    its rings by a rank of the element names computed once per call."""
     graph, pres = state.graph, state.presentation
     words: dict = {}  # conjugator Word -> text, for this call only
+    names = [graph.elt_name(g) for g in range(graph.order)]
     doc = {
         "schema": SCHEMA,
-        "group": {"order": str(graph.order),
-                  "elements": [graph.elt_name(g) for g in range(graph.order)]},
+        "group": {"order": str(graph.order), "elements": names},
         "presentation": {
             "generators": list(pres.generators),
             "relators": [[name, w.render()] for name, w in pres.relators],
         },
-        "tree": [[graph.elt_name(g), graph.gens[k]]
-                 for g, k in sorted(state.tree.edges)],
-        "h1": {f"{graph.elt_name(g)} {graph.gens[k]}": render_crossed(c, words)
+        "tree": [[names[g], graph.gens[k]] for g, k in sorted(state.tree.edges)],
+        "h1": {f"{names[g]} {graph.gens[k]}": render_crossed(c, words)
                for (g, k), c in sorted(state.h1.entries.items())},
         "levels": {},
     }
@@ -452,35 +505,37 @@ def export_json(state: ResolutionState) -> str:
         level = state.levels[n]
         entry = {
             "codomain": list(level.codomain),
-            "basis": [{"symbol": sym,
-                       "tag": [graph.elt_name(tag[0]), tag[1]]}
+            "basis": [{"symbol": sym, "tag": [names[tag[0]], tag[1]]}
                       for sym, tag in level.basis],
-            "boundary": {sym: _render_module(graph, level.boundary[sym])
-                         for sym, _ in level.basis},
-            "candidates": [{"tag": [graph.elt_name(c.tag[0]), c.tag[1]],
-                            "form": _render_module(graph, c.form)}
+            "boundary": level.boundary,
+            "candidates": [{"tag": [names[c.tag[0]], c.tag[1]], "form": c.form}
                            for c in level.candidates],
-            "xi": {f"{graph.elt_name(tag[0])} {tag[1]}":
-                   _render_module(graph, level.xi[tag])
-                   for tag in sorted(level.xi)},
+            "xi": {f"{names[g]} {name}": m for (g, name), m in level.xi.items()},
         }
         if n == 3:
             # written even when no generator is kept, so an import gets
             # back every candidate's crossed form
-            by_tag = {c.tag: c for c in level.candidates}
-            entry["crossed"] = {sym: render_crossed(by_tag[tag].crossed_form, words)
-                                for sym, tag in level.basis}
+            texts = {c.tag: render_crossed(c.crossed_form, words)
+                     for c in level.candidates}
+            entry["crossed"] = {sym: texts[tag] for sym, tag in level.basis}
             entry["candidates_crossed"] = {
-                f"{graph.elt_name(c.tag[0])} {c.tag[1]}":
-                render_crossed(c.crossed_form, words) for c in level.candidates}
+                f"{names[g]} {name}": text for (g, name), text in texts.items()}
         doc["levels"][str(n)] = entry
     out: list[str] = []
-    _emit(doc, "", out)
+    _emit(doc, "", out, _element_keys(graph))
     out.append("\n")
     return "".join(out)
 
 
 def import_json(text: str) -> ResolutionState:
+    """The state a state.json text describes.  Element names are read
+    through the graph's name table, and other spellings of an element are
+    accepted; each distinct crossed-form text is parsed once.  Refused,
+    naming the level: a candidate tag listed twice, two xi keys for one
+    tag, a ring that names one element twice, an xi that does not cover
+    exactly the candidate tags, a level-3 candidate without a crossed
+    form, and a kept symbol whose stored boundary or crossed form is not
+    its candidate's."""
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
@@ -497,47 +552,61 @@ def import_json(text: str) -> ResolutionState:
     contraction = Contraction0(graph, tree)
     rel_names = set(pres.relator_names())
     words: dict = {}  # conjugator text -> Word, for this call only
+    forms: dict = {}  # crossed-form text -> CrossedElt, for this call only
+
+    def parse_form(ctext):
+        cf = forms.get(ctext)
+        if cf is None:
+            cf = forms[ctext] = parse_crossed(ctext, rel_names, gens, words)
+        return cf
+
     entries = {}
     for key, ctext in doc["h1"].items():
         head, gen = key.rsplit(" ", 1)
-        entries[(graph.elt_by_name(head), graph.gen_index(gen))] = \
-            parse_crossed(ctext, rel_names, gens, words)
+        entries[(graph.elt_by_name(head), graph.gen_index(gen))] = parse_form(ctext)
     state = ResolutionState(pres, graph, tree, contraction,
                             H1Table(contraction, entries))
     for ntext, entry in sorted(doc["levels"].items(), key=lambda kv: int(kv[0])):
         n = int(ntext)
         basis = [(b["symbol"], (graph.elt_by_name(b["tag"][0]), b["tag"][1]))
                  for b in entry["basis"]]
-        cands = []
+        crossed_texts = entry.get("candidates_crossed", {})
+        cands, by_tag = [], {}
         for c in entry["candidates"]:
             tag = (graph.elt_by_name(c["tag"][0]), c["tag"][1])
+            if tag in by_tag:
+                raise ValueError(f"level {n}: tag {_tag_text(graph, tag)} is "
+                                 f"listed twice among the candidates")
             cf = None
             if n == 3:
-                ctext = entry.get("candidates_crossed", {}).get(
-                    f"{c['tag'][0]} {c['tag'][1]}")
+                ctext = crossed_texts.get(f"{c['tag'][0]} {c['tag'][1]}")
                 if ctext is None:
                     raise ValueError(f"level 3: candidate {_tag_text(graph, tag)} "
                                      f"has no crossed form")
-                cf = parse_crossed(ctext, rel_names, gens, words)
-            cands.append(Candidate(tag, _parse_module(graph, c["form"]), cf))
+                cf = parse_form(ctext)
+            cand = Candidate(tag, _parse_module(graph, c["form"], n), cf)
+            cands.append(cand)
+            by_tag[tag] = cand
         xi = {}
         for key, data in entry["xi"].items():
             head, name = key.rsplit(" ", 1)
-            xi[(graph.elt_by_name(head), name)] = \
-                _parse_module(graph, data)
+            tag = (graph.elt_by_name(head), name)
+            if tag in xi:
+                raise ValueError(f"level {n}: tag {_tag_text(graph, tag)} has "
+                                 f"two xi entries")
+            xi[tag] = _parse_module(graph, data, n)
         # verify_state replays xi at every candidate tag, and only there
-        odd = sorted(xi.keys() ^ {c.tag for c in cands})
+        odd = sorted(xi.keys() ^ by_tag.keys())
         if odd:
             what = ("has an xi entry but is not a candidate" if odd[0] in xi
                     else "is a candidate with no xi entry")
             raise ValueError(f"level {n}: tag {_tag_text(graph, odd[0])} {what}")
         # the Level derives a kept symbol's boundary (and level-3 crossed
         # form) from its candidate, so the stored copies must agree
-        by_tag = {c.tag: c for c in cands}
         for sym, tag in basis:
             cf = entry.get("crossed", {}).get(sym)
-            stored = (_parse_module(graph, entry["boundary"][sym]),
-                      cf and parse_crossed(cf, rel_names, gens, words))
+            stored = (_parse_module(graph, entry["boundary"][sym], n),
+                      cf and parse_form(cf))
             cand = by_tag.get(tag)
             if cand is None or stored != (cand.form, cand.crossed_form):
                 raise ValueError(f"level {n}: the stored boundary or crossed "
@@ -568,6 +637,7 @@ def render_tables(state: ResolutionState) -> str:
         f"({graph.elt_name(g)}, {graph.gens[k]})"
         for g, k in sorted(state.tree.edges)))
     out.append("")
+    words: dict = {}  # conjugator Word -> text, for this call only
     for n in sorted(state.levels):
         level = state.levels[n]
         out.append(f"level {n} generators ({len(level.candidates)} candidates, "
@@ -579,7 +649,7 @@ def render_tables(state: ResolutionState) -> str:
                  f"xi = {render_module(graph, level.xi[cand.tag])}")
             line = f"  [{graph.elt_name(cand.tag[0])}, {cand.tag[1]}]"
             if cand.crossed_form is not None:
-                line += f"  {render_crossed(cand.crossed_form)}"
+                line += f"  {render_crossed(cand.crossed_form, words)}"
             line += f"  ->  {render_module(graph, cand.form)}  ({status})"
             out.append(line)
         out.append("")

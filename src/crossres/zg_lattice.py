@@ -45,16 +45,6 @@ def expand(graph, basis, m: ModuleElt) -> list[int]:
     return vec
 
 
-def unexpand(graph, basis, vec) -> ModuleElt:
-    n = graph.order
-    coords = {}
-    for i, sym in enumerate(basis):
-        block = {g: vec[i * n + g] for g in range(n) if vec[i * n + g]}
-        if block:
-            coords[sym] = GroupRingElt(block)
-    return ModuleElt(coords)
-
-
 def _nonzero(row, start=0):
     """The (column, value) pairs of `row`'s nonzero entries from `start` on."""
     return [(c, a) for c, a in enumerate(row[start:], start) if a]

@@ -85,6 +85,14 @@ def test_abelianise_of_action_translates(s3_graph, a, u):
         == abelianise(a, s3_graph).translated(s3_graph, s3_graph.eval_word(u))
 
 
+@given(st.lists(crossed_elts, max_size=4))
+def test_abelianise_memo_is_transparent(s3_graph, elts):
+    memo: dict = {}
+    for a in elts:
+        assert abelianise(a, s3_graph, memo) == abelianise(a, s3_graph)
+    assert all(s3_graph.eval_word(u) == g for u, g in memo.items())
+
+
 def test_abelianise_frozen(s3_graph):
     c = mult(crossed("r", 1, parse_word("x")),
              act(crossed("s", -1), parse_word("x")))

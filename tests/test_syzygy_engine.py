@@ -10,6 +10,7 @@ from crossres import (RunConfig, build_state, export_json, import_json,
                       render_tables, syzygy_engine, verify_state, zg_lattice)
 from crossres.crossed import (ModuleElt, abelianise, apply_map, boundary2,
                               render_crossed, unit)
+from crossres.group_core import Presentation, enumerate_presentation
 from crossres.syzygy_engine import (ResolutionState, compute_delta3,
                                     fox_matrix_map, homotopy_eval,
                                     level3_candidates, order_candidates,
@@ -184,6 +185,80 @@ class TestJsonEmitter:
             emitted(doc)
 
 
+def _graph(gens, relators):
+    return enumerate_presentation(Presentation(
+        gens, [(f"r{i}", parse_word(w)) for i, w in enumerate(relators)]))
+
+
+# S3 and C12 both name their elements in an order that is not the index
+# order: "x y" < "x^2" and "x^10" < "x^2"
+_S3, _C12 = _graph(["x", "y"], ["x^3", "y^2", "x y x y"]), _graph(["x"], ["x^12"])
+
+
+def _module_as_dict(graph, m):
+    """The form state.json gives a module: {symbol: {name: str(coeff)}}."""
+    return {sym: {graph.elt_name(g): str(c) for g, c in ring.items()}
+            for sym, ring in m.items()}
+
+
+@st.composite
+def graphs_and_modules(draw):
+    graph = draw(st.sampled_from([_S3, _C12]))
+    rings = st.dictionaries(st.integers(0, graph.order - 1),
+                            st.integers(-10 ** 12, 10 ** 12).filter(bool),
+                            min_size=1)
+    symbols = (st.sampled_from(["b3_1", "b3_2", "b3_10", "b4_11", "r", "s"])
+               | st.text(max_size=4))
+    coords = draw(st.dictionaries(symbols, rings, max_size=5))
+    return graph, ModuleElt({sym: GroupRingElt(r) for sym, r in coords.items()})
+
+
+class TestModuleWriter:
+    """export_json writes each ModuleElt straight to its text; it must be
+    the text json.dumps gives for the module's dict form, at any depth."""
+
+    @given(graphs_and_modules(), st.integers(0, 3))
+    @example((_S3, ModuleElt()), 0)
+    @example((_S3, ModuleElt()), 2)
+    @example((_S3, ModuleElt({"b3_10": GroupRingElt({4: -12, 2: 3}),
+                              "b3_2": GroupRingElt({5: 1, 0: 100})})), 1)
+    def test_matches_json_dumps_of_the_dict_form(self, graph_module, depth):
+        graph, m = graph_module
+        doc, want = m, _module_as_dict(graph, m)
+        for _ in range(depth):
+            doc, want = {"k": [doc]}, {"k": [want]}
+        out = []
+        syzygy_engine._emit(doc, "", out, syzygy_engine._element_keys(graph))
+        assert "".join(out) == json.dumps(want, sort_keys=True, indent=1)
+
+    def test_element_keys_rank_names_in_string_order(self):
+        keys, rank = syzygy_engine._element_keys(_S3)
+        assert [_S3.elt_name(g) for g in range(6)] \
+            == ["1", "x", "x^2", "y", "x y", "y x"]
+        assert sorted(range(6), key=rank.__getitem__) == [0, 1, 4, 2, 3, 5]
+        assert keys[4] == '"x y": "'
+
+    def test_export_is_json_dumps_of_its_own_parse(self, s3_state, tmp_path):
+        """Byte identity of the writer on the S3 fixture, a Q8 level-5
+        build, every frozen replay state and a level 3 that keeps no
+        generator."""
+        pres = tmp_path / "trivial.pres"
+        pres.write_text("gens: x\nrel r = x\n")
+        trivial = build_state(RunConfig(presentation=str(pres)))
+        assert trivial.levels[3].basis == []
+        q8 = build_state(RunConfig(presentation=data_path("q8.pres"), max_level=5,
+                                   h1=os.path.join(_BENCH_DATA, "h1", "q8.h1")))
+        states = [s3_state, q8, trivial]
+        for path in _REPLAY_STATES:
+            with open(path) as fh:
+                states.append(import_json(fh.read()))
+        assert len(states) == 8
+        for state in states:
+            text = export_json(state)
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      indent=1) + "\n"
+
+
 class TestVerifyAndSerialize:
     def test_verify_fixture(self, s3_state):
         ok, rows = verify_state(s3_state)
@@ -303,6 +378,34 @@ class TestVerifyAndSerialize:
         with pytest.raises(ValueError,
                            match=r"level 4: tag \(x, b3_9\) has an xi entry "
                                  r"but is not a candidate"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_two_xi_keys_for_one_tag(self):
+        """x^4 = 1 in C4, so "x^4 b3_1" spells the tag of "1 b3_1"."""
+        doc = self._c4_l4_doc()
+        xi = doc["levels"]["4"]["xi"]
+        assert "1 b3_1" in xi
+        xi["x^4 b3_1"] = {}
+        with pytest.raises(ValueError,
+                           match=r"level 4: tag \(1, b3_1\) has two xi entries"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_a_ring_that_names_an_element_twice(self, s3_state):
+        """y^2 = 1 in S3, so {"1": "1", "y^2": "2"} names the identity twice."""
+        doc = json.loads(export_json(s3_state))
+        doc["levels"]["3"]["candidates"][0]["form"] = {"r": {"1": "1", "y^2": "2"}}
+        with pytest.raises(ValueError,
+                           match=r"level 3: a ring of r names element 1 twice"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_a_candidate_listed_twice(self):
+        doc = self._c4_l4_doc()
+        cands = doc["levels"]["4"]["candidates"]
+        cands.append(dict(cands[1]))
+        head, name = cands[1]["tag"]
+        with pytest.raises(ValueError,
+                           match=rf"level 4: tag \({head}, {name}\) is listed "
+                                 rf"twice among the candidates"):
             import_json(json.dumps(doc))
 
     def test_import_rejects_level3_without_crossed_forms(self, tmp_path):

@@ -10,7 +10,19 @@ from crossres.words import GroupRingElt, word
 from crossres.zg_lattice import (IntSpan, Lattice, OrbitLattice,
                                  TranslateTable, _greedy_certificate,
                                  _hnf_in_place, _reduce, expand,
-                                 kernel_lattice, member_solve, unexpand)
+                                 kernel_lattice, member_solve)
+
+
+def unexpand(graph, basis, vec) -> ModuleElt:
+    """Reference inverse of `expand`: the module element whose coordinate
+    (basis[i], g) is vec[i.|G| + g]."""
+    n = graph.order
+    coords = {}
+    for i, sym in enumerate(basis):
+        block = {g: vec[i * n + g] for g in range(n) if vec[i * n + g]}
+        if block:
+            coords[sym] = GroupRingElt(block)
+    return ModuleElt(coords)
 
 
 def test_expand_unexpand_round_trip(s3_graph):

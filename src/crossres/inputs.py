@@ -16,8 +16,6 @@ File formats (`#` starts a comment; blank lines are ignored):
                  representatives for rejected tags:
                  `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`.
                  Pins are validated by exact replay against the boundary.
-  table file     |G| rows of |X| element indices: row g, column k holds
-                 g.φ(x_k), and row 0 is the identity.
 
 Every reader raises InputError, whose message starts with `path:line:`
 for a fault on one line and with `path:` for a fault of the whole file
@@ -29,7 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .crossed import parse_crossed
-from .group_core import CayleyGraph, MaximalTree, Presentation, _validate_graph
+from .group_core import CayleyGraph, MaximalTree, Presentation
 from .words import Word, parse_letters, parse_word
 
 
@@ -60,8 +58,8 @@ def _lines(text: str, source):
 
 @contextmanager
 def whole_file(source):
-    """Report a ValueError raised inside (a TreeError, TableError,
-    PresentationError or H1Table's check) as an InputError on source."""
+    """Report a ValueError raised inside (a TreeError, PresentationError
+    or H1Table's check) as an InputError on source."""
     try:
         yield
     except ValueError as exc:
@@ -69,9 +67,10 @@ def whole_file(source):
 
 
 def _parse_tag(text, graph, where, last="name"):
-    """`<element-word> <name>` -> (element index, name).  With
-    last="generator" the name must be a generator, and the tag is the
-    arrow (element index, generator index)."""
+    """`<element-word> <name>` -> (element index, name): the tag grammar
+    of the tree, h1 and order files, and of the tags `import_json` reads.
+    With last="generator" the name must be a generator, and the tag is
+    the arrow (element index, generator index)."""
     tokens = text.split()
     if len(tokens) < 2:
         raise InputError(f"{where}: expected `<element-word> <{last}>`")
@@ -165,45 +164,6 @@ def h1_entries(path, contraction) -> dict:
                 f"({graph.elt_name(g)!r}, {graph.gens[k]}) must be 1")
         entries[(g, k)] = c
     return {e: c for e, c in entries.items() if e not in contraction.tree}
-
-
-def load_table(path, pres: Presentation) -> CayleyGraph:
-    """Load a Cayley table: |G| rows of |X| whitespace-separated element
-    indices, row g column k holding g.φ(x_k).  Row 0 is the identity.
-
-    Validates that every column is a permutation, the action is transitive
-    from 0, every relator fixes every vertex, and all Schreier elements act
-    trivially (a transitive action with those properties is the regular
-    action of some quotient of the presented group; a proper quotient's own
-    regular table is indistinguishable without enumerating, which this
-    loader deliberately avoids).
-    """
-    rows, wheres = [], []
-    for where, line in _lines(read_text(path), path):
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise InputError(f"{where}: non-integer entry") from None
-        if len(row) != len(pres.generators):
-            raise InputError(
-                f"{where}: expected {len(pres.generators)} entries, got {len(row)}")
-        rows.append(row)
-        wheres.append(where)
-    n = len(rows)
-    if n == 0:
-        raise InputError(f"{path}: empty table")
-    for where, row in zip(wheres, rows):
-        for h in row:
-            if not 0 <= h < n:
-                raise InputError(f"{where}: entry {h} out of range 0..{n - 1}")
-    for k, name in enumerate(pres.generators):
-        if sorted(row[k] for row in rows) != list(range(n)):
-            raise InputError(
-                f"{path}: column for generator {name!r} is not a permutation")
-    with whole_file(path):
-        graph = CayleyGraph(pres, rows)
-        _validate_graph(graph)
-    return graph
 
 
 def _parse_pin_terms(text, graph, where):

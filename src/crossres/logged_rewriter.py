@@ -285,7 +285,8 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
 class H1Table:
     """h1 on the arrows of the Cayley graph: the empty consequence on tree
     arrows, a chosen filling of rho(edge) on every other arrow; extended to
-    all of F(X) at every base by the morphism law."""
+    all of F(X) at every base by the morphism law.  Refused, whoever builds
+    it: an entry on a tree arrow, a wrong boundary, a missing entry."""
 
     __slots__ = ("contraction", "entries")
 
@@ -293,6 +294,10 @@ class H1Table:
         graph = contraction.graph
         memo: dict = {}  # factor -> letters, for this table only
         for (g, k), c in entries.items():
+            if (g, k) in contraction.tree:
+                raise ValueError(
+                    f"h1 entry at tree edge ({graph.elt_name(g)!r}, "
+                    f"{graph.gens[k]}): h1 is the empty consequence there")
             expected = contraction.rho(g, word(graph.gens[k]))
             got = boundary2(c, graph.presentation, memo)
             if got != expected:

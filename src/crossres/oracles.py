@@ -383,4 +383,4 @@ def _add_cyclic_level(state: ResolutionState, n: int):
         candidates.append(Candidate(tag, form, crossed))
     # the kept candidate's form is prev . cyclic_ring(graph, n)
     kept = candidates[r - 1 if odd else 1].tag
-    state.levels[n] = Level(n, [prev], [(sym, kept)], candidates, xi)
+    state.levels[n] = Level([prev], [(sym, kept)], candidates, xi)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .crossed import (CrossedElt, ModuleElt, ZERO_MODULE, abelianise, act,
@@ -32,6 +33,7 @@ from .crossed import (CrossedElt, ModuleElt, ZERO_MODULE, abelianise, act,
                       render_crossed, unit)
 from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
+from .inputs import _parse_tag
 from .logged_rewriter import H1Table, h1_eval
 from .words import GroupRingElt, Word, fox_derivative, parse_word
 from .zg_lattice import IntSpan, Lattice, OrbitLattice, TranslateTable, \
@@ -63,11 +65,10 @@ class Level:
     level 3 a kept symbol's crossed boundary is likewise its candidate's
     `crossed_form`."""
 
-    __slots__ = ("n", "codomain", "basis", "boundary", "candidates", "xi",
+    __slots__ = ("codomain", "basis", "boundary", "candidates", "xi",
                  "symbol_of_tag")
 
-    def __init__(self, n, codomain, basis, candidates, xi):
-        self.n = n
+    def __init__(self, codomain, basis, candidates, xi):
         self.codomain = codomain        # previous level's basis names
         self.basis = basis              # list of (symbol, tag)
         self.candidates = candidates    # list of Candidate, reduction order
@@ -179,7 +180,7 @@ def reduce_level(state: ResolutionState, n: int, candidates,
             basis.append((sym, cand.tag))
             table.add(sym, cand.form)
             span.add(*table.rows([sym]))
-    level = Level(n, codomain, basis, list(candidates), {})
+    level = Level(codomain, basis, list(candidates), {})
     symbol_of_tag = level.symbol_of_tag
 
     if cert_overrides:
@@ -400,24 +401,30 @@ def _element_keys(graph):
     return [encode_basestring_ascii(name) + ': "' for name in names], rank
 
 
-def _parse_module(graph, data, n) -> ModuleElt:
+def _parse_module(graph, data, where) -> ModuleElt:
     """A module written as {symbol: {element name: coefficient text}}.
     Canonical names are looked up, other spellings parsed; a ring that
-    names one element twice is refused, naming level `n`."""
+    names one element twice, or that is not such an object, is refused,
+    naming `where`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: a module is not an object")
     by_name = graph._by_name
     coords = {}
     for sym, ring in data.items():
         try:
-            row = {by_name[wtext]: int(c) for wtext, c in ring.items()}
-        except KeyError:
-            row = {graph.elt_by_name(wtext): int(c) for wtext, c in ring.items()}
+            try:
+                row = {by_name[wtext]: int(c) for wtext, c in ring.items()}
+            except KeyError:  # a spelling other than the canonical name
+                row = {graph.elt_by_name(wtext): int(c) for wtext, c in ring.items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: a ring of {sym}: {exc.args[0]}") from None
         if len(row) != len(ring):
             seen = set()
             for wtext in ring:
                 g = graph.elt_by_name(wtext)
                 if g in seen:
                     raise ValueError(
-                        f"level {n}: a ring of {sym} names element "
+                        f"{where}: a ring of {sym} names element "
                         f"{graph.elt_name(g)} twice")
                 seen.add(g)
         coords[sym] = GroupRingElt(row)
@@ -527,91 +534,138 @@ def export_json(state: ResolutionState) -> str:
     return "".join(out)
 
 
+def _field(obj, key, where, kind=dict, default=None):
+    """obj[key], or `default` if it is absent; refused unless a `kind`,
+    naming `where` and the field."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
 def import_json(text: str) -> ResolutionState:
-    """The state a state.json text describes.  Element names are read
-    through the graph's name table, and other spellings of an element are
-    accepted; each distinct crossed-form text is parsed once.  Refused,
-    naming the level: a candidate tag listed twice, two xi keys for one
-    tag, a ring that names one element twice, an xi that does not cover
-    exactly the candidate tags, a level-3 candidate without a crossed
-    form, and a kept symbol whose stored boundary or crossed form is not
-    its candidate's."""
+    """The state a state.json text describes.  Each tag, an `<element>
+    <name>` key or an [element, name] pair, is read by `inputs._parse_tag`,
+    the tag grammar of the input files; each distinct crossed-form text is
+    parsed once.  Refused, with a ValueError that names where: a missing
+    or mistyped field, a bad tag, two keys for one h1 arrow or tag, a tree
+    edge or candidate listed twice, a ring that names one element twice,
+    an xi that does not cover exactly the candidate tags, a level-3
+    candidate without a crossed form, a kept symbol whose stored boundary
+    or crossed form is not its candidate's, and (by H1Table) an h1 entry
+    on a tree arrow.  A key written twice in one JSON object is not seen:
+    json.loads keeps the last."""
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    gens = doc["presentation"]["generators"]
-    relators = [(name, parse_word(wtext, gens))
-                for name, wtext in doc["presentation"]["relators"]]
-    pres = Presentation(gens, relators)
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(f"unsupported schema {schema!r}")
+    presentation = _field(doc, "presentation", "state")
+    gens = _field(presentation, "generators", "presentation", list)
+    relators = _field(presentation, "relators", "presentation", list)
+    try:
+        pres = Presentation(gens, [(name, parse_word(wtext, gens))
+                                   for name, wtext in relators])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"presentation: {exc}") from None
     graph = enumerate_presentation(pres)
-    if [graph.elt_name(g) for g in range(graph.order)] != doc["group"]["elements"]:
+    if ([graph.elt_name(g) for g in range(graph.order)]
+            != _field(_field(doc, "group", "state"), "elements", "group", list)):
         raise ValueError("element enumeration mismatch on import")
-    edges = frozenset((graph.elt_by_name(wtext), graph.gen_index(x))
-                      for wtext, x in doc["tree"])
+
+    tags: dict = {}  # (tag text, last) -> tag, for this call only
+
+    def tag_of(text, where, last="name"):
+        tag = tags.get((text, last))
+        if tag is None:
+            tag = tags[text, last] = _parse_tag(text, graph, where, last)
+        return tag
+
+    def pair_tag(pair, where, last="name"):
+        """The tag an [element, name] pair names; anything else reads as
+        "", which _parse_tag refuses."""
+        ok = (isinstance(pair, list) and len(pair) == 2
+              and type(pair[0]) is type(pair[1]) is str)
+        # the name is one token: no " ", and isprintable() refuses the
+        # other whitespace
+        ok = ok and pair[1] != "" and " " not in pair[1] and pair[1].isprintable()
+        return tag_of(" ".join(pair) if ok else "", where, last)
+
+    def tagged(obj, field, where, read, last="name"):
+        """{tag: read(value, where its key is)} of an object keyed by tags."""
+        out = {}
+        for key, value in obj.items():
+            at = f"{where}: {field} key {key!r}"
+            tag = tag_of(key, at, last)
+            if tag in out:
+                raise ValueError(f"{where}: tag ({graph.elt_name(tag[0])}, "
+                                 f"{key.split()[-1]}) has two {field} entries")
+            out[tag] = read(value, at)
+        return out
+
+    edges = [pair_tag(edge, f"tree edge {edge!r}", "generator")
+             for edge in _field(doc, "tree", "state", list)]
+    if len(set(edges)) != len(edges):
+        raise ValueError("tree: an edge is listed twice")
     tree = MaximalTree(graph, edges)
     contraction = Contraction0(graph, tree)
     rel_names = set(pres.relator_names())
     words: dict = {}  # conjugator text -> Word, for this call only
     forms: dict = {}  # crossed-form text -> CrossedElt, for this call only
 
-    def parse_form(ctext):
-        cf = forms.get(ctext)
-        if cf is None:
-            cf = forms[ctext] = parse_crossed(ctext, rel_names, gens, words)
-        return cf
+    def parse_form(ctext, where):
+        try:
+            if ctext not in forms:
+                forms[ctext] = parse_crossed(ctext, rel_names, gens, words)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        return forms[ctext]
 
-    entries = {}
-    for key, ctext in doc["h1"].items():
-        head, gen = key.rsplit(" ", 1)
-        entries[(graph.elt_by_name(head), graph.gen_index(gen))] = parse_form(ctext)
-    state = ResolutionState(pres, graph, tree, contraction,
-                            H1Table(contraction, entries))
-    for ntext, entry in sorted(doc["levels"].items(), key=lambda kv: int(kv[0])):
+    h1 = tagged(_field(doc, "h1", "state"), "h1", "state", parse_form, "generator")
+    state = ResolutionState(pres, graph, tree, contraction, H1Table(contraction, h1))
+    levels = _field(doc, "levels", "state")
+    for ntext, entry in sorted(levels.items(), key=lambda kv: int(kv[0])):
         n = int(ntext)
-        basis = [(b["symbol"], (graph.elt_by_name(b["tag"][0]), b["tag"][1]))
-                 for b in entry["basis"]]
-        crossed_texts = entry.get("candidates_crossed", {})
-        cands, by_tag = [], {}
-        for c in entry["candidates"]:
-            tag = (graph.elt_by_name(c["tag"][0]), c["tag"][1])
+        where = f"level {n}"
+        basis = [(_field(b, "symbol", where, str),
+                  pair_tag(_field(b, "tag", where, list), f"{where}: basis tag"))
+                 for b in _field(entry, "basis", where, list)]
+        crossed_forms = tagged(_field(entry, "candidates_crossed", where, dict, {})
+                               if n == 3 else {}, "candidates_crossed", where,
+                               parse_form)
+        by_tag, at = {}, f"{where}: candidate tag"
+        for c in _field(entry, "candidates", where, list):
+            tag = pair_tag(_field(c, "tag", where, list), at)
             if tag in by_tag:
-                raise ValueError(f"level {n}: tag {_tag_text(graph, tag)} is "
+                raise ValueError(f"{where}: tag {_tag_text(graph, tag)} is "
                                  f"listed twice among the candidates")
-            cf = None
-            if n == 3:
-                ctext = crossed_texts.get(f"{c['tag'][0]} {c['tag'][1]}")
-                if ctext is None:
-                    raise ValueError(f"level 3: candidate {_tag_text(graph, tag)} "
-                                     f"has no crossed form")
-                cf = parse_form(ctext)
-            cand = Candidate(tag, _parse_module(graph, c["form"], n), cf)
-            cands.append(cand)
-            by_tag[tag] = cand
-        xi = {}
-        for key, data in entry["xi"].items():
-            head, name = key.rsplit(" ", 1)
-            tag = (graph.elt_by_name(head), name)
-            if tag in xi:
-                raise ValueError(f"level {n}: tag {_tag_text(graph, tag)} has "
-                                 f"two xi entries")
-            xi[tag] = _parse_module(graph, data, n)
+            cf = crossed_forms.get(tag)
+            if n == 3 and cf is None:
+                raise ValueError(f"level 3: candidate {_tag_text(graph, tag)} "
+                                 f"has no crossed form")
+            by_tag[tag] = Candidate(tag, _parse_module(
+                graph, _field(c, "form", where), where), cf)
+        xi = tagged(_field(entry, "xi", where), "xi", where,
+                    partial(_parse_module, graph))
         # verify_state replays xi at every candidate tag, and only there
         odd = sorted(xi.keys() ^ by_tag.keys())
         if odd:
             what = ("has an xi entry but is not a candidate" if odd[0] in xi
                     else "is a candidate with no xi entry")
-            raise ValueError(f"level {n}: tag {_tag_text(graph, odd[0])} {what}")
+            raise ValueError(f"{where}: tag {_tag_text(graph, odd[0])} {what}")
         # the Level derives a kept symbol's boundary (and level-3 crossed
         # form) from its candidate, so the stored copies must agree
+        boundary = _field(entry, "boundary", where)
+        crossed = _field(entry, "crossed", where, dict, {})
         for sym, tag in basis:
-            cf = entry.get("crossed", {}).get(sym)
-            stored = (_parse_module(graph, entry["boundary"][sym], n),
-                      cf and parse_form(cf))
+            cf = crossed.get(sym)
+            stored = (_parse_module(graph, _field(boundary, sym, where), where),
+                      cf and parse_form(cf, f"{where}: crossed form of {sym}"))
             cand = by_tag.get(tag)
             if cand is None or stored != (cand.form, cand.crossed_form):
-                raise ValueError(f"level {n}: the stored boundary or crossed "
+                raise ValueError(f"{where}: the stored boundary or crossed "
                                  f"form of {sym} is not its candidate's")
-        state.levels[n] = Level(n, list(entry["codomain"]), basis, cands, xi)
+        state.levels[n] = Level(_field(entry, "codomain", where, list), basis,
+                                list(by_tag.values()), xi)
     return state
 
 

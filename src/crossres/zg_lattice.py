@@ -214,11 +214,9 @@ class IntSpan:
     inputs had been added has length k; the later inputs' coefficients
     are zero.  Padded to `size`, the log rows and the relations form a
     unimodular matrix, so the relations span every relation among the
-    inputs.  `supports[i]` is input i as its sparse support, a list of
-    (position, value)."""
+    inputs."""
 
-    __slots__ = ("ambient", "rows", "pivots", "log", "relations", "size",
-                 "supports")
+    __slots__ = ("ambient", "rows", "pivots", "log", "relations", "size")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
@@ -227,7 +225,6 @@ class IntSpan:
         self.log: list[list[int]] = []
         self.relations: list[list[int]] = []
         self.size = 0
-        self.supports: list[list[tuple[int, int]]] = []
 
     def contains(self, vec) -> bool:
         residue, _ = _reduce(self.rows, self.pivots, vec)
@@ -243,7 +240,6 @@ class IntSpan:
         log = [row + pad for row in self.log]
         log += [[0] * (size + i) + [1] + [0] * (k - 1 - i) for i in range(k)]
         rows = self.rows + [list(v) for v in vecs]
-        self.supports += [_nonzero(v) for v in vecs]
         pivots = _hnf_in_place(rows, self.ambient, log)
         rank = len(pivots)
         self.rows = rows[:rank]
@@ -263,16 +259,17 @@ class OrbitLattice(Lattice):
 
     `span` is an IntSpan into which exactly these input rows were added,
     in this order, such as the one `reduce_level` grows; the lattice takes
-    its HNF, log, relations and input supports.  Without it, the lattice
-    fills its own span, one generator's translates at a time.
+    its HNF, log and relations.  Without it, the lattice fills its own
+    span from its TranslateTable of the generators, one at a time.
 
     The certificate searches read private sparse forms, derived once
     here: `_expr_pairs` and `_kernel_pairs` hold the nonzero (column,
     value) pairs of `expr_rows` and `kernel_rows` (a kernel row's first
-    pair is its pivot), `_supports` the input rows' pairs, `_weights`
-    their L1 norms, and `_by_position` maps each position to two lists
-    of (input row, |value|) pairs, of the input rows positive there and
-    of those negative there."""
+    pair is its pivot), `_supports` the input rows' pairs (the table's
+    translates, which refuse a symbol outside `basis`), `_weights` their
+    L1 norms, and `_by_position` maps each position to two lists of
+    (input row, |value|) pairs, of the input rows positive there and of
+    those negative there."""
 
     __slots__ = ("graph", "basis", "gens", "expr_rows", "kernel_rows",
                  "kernel_pivots", "_supports", "_weights", "_by_position",
@@ -281,12 +278,13 @@ class OrbitLattice(Lattice):
     def __init__(self, graph, basis, gens, span=None):
         n = graph.order
         n_inputs = len(gens) * n
-        if span is None:
-            span, table = IntSpan(len(basis) * n), TranslateTable(graph, basis, {})
-            for j, m in enumerate(gens):
-                table.add(j, m)
+        table, fill = TranslateTable(graph, basis, {}), span is None
+        span = IntSpan(len(basis) * n) if fill else span
+        for j, m in enumerate(gens):
+            table.add(j, m)
+            if fill:
                 span.add(*table.rows([j]))
-        elif span.size != n_inputs:
+        if span.size != n_inputs:
             raise ValueError(f"span holds {span.size} input rows, "
                              f"the generators have {n_inputs} translates")
         self.ambient = span.ambient
@@ -299,10 +297,11 @@ class OrbitLattice(Lattice):
         kernel = [r + [0] * (n_inputs - len(r)) for r in span.relations]
         self.kernel_pivots = tuple(_hnf_in_place(kernel, n_inputs, echelon=True))
         self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
-        self._supports = span.supports
-        self._weights = [sum(abs(v) for _, v in s) for s in span.supports]
+        self._supports = [pairs for j in range(len(gens))
+                          for pairs in table.translates[j]]
+        self._weights = [sum(abs(v) for _, v in s) for s in self._supports]
         self._by_position = [([], []) for _ in range(span.ambient)]
-        for i, support in enumerate(span.supports):
+        for i, support in enumerate(self._supports):
             for p, v in support:
                 if v > 0:
                     self._by_position[p][0].append((i, v))

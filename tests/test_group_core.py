@@ -1,10 +1,11 @@
 import pytest
 
-from crossres.group_core import (Contraction0, EnumerationOverflow,
-                                 MaximalTree, Presentation, PresentationError,
-                                 TreeError, bfs_tree, enumerate_presentation,
-                                 render_zg)
-from crossres.inputs import load_table, parse_presentation, tree_from_file
+from crossres.group_core import (CayleyGraph, Contraction0,
+                                 EnumerationOverflow, MaximalTree, Presentation,
+                                 PresentationError, TableError, TreeError,
+                                 _validate_graph, bfs_tree,
+                                 enumerate_presentation, render_zg)
+from crossres.inputs import parse_presentation, tree_from_file
 from crossres.words import GroupRingElt, parse_word, word
 from conftest import assert_input_errors, data_path
 
@@ -119,32 +120,20 @@ class TestElementNames:
         assert str(exc.value) == "malformed word token 'x^'"
 
 
-class TestLoadTable:
-    def test_c4_fixture(self):
-        graph = load_table(data_path("c4.table"), cyclic(4))
-        assert graph.order == 4
-        assert graph.fwd[3][0] == 0
-
-    def test_rejects_bad_tables(self, tmp_path):
-        pres = cyclic(4)
-        assert_input_errors(lambda p: load_table(p, pres), tmp_path / "t.txt", [
-            ("1\n2\n3\n3\n", ": column for generator 'x' is not a permutation"),
-            ("1 2\n", ":1: expected 1 entries, got 2"),
-            ("1\nq\n", ":2: non-integer entry"),
-            ("", ": empty table"),
-            # permutation tables: not transitive, and x^4 moving a point
-            ("1\n0\n3\n2\n", ": action is not transitive from the identity"),
-            ("1\n2\n0\n", ": relator r does not fix element '1'"),
-            # the file line, not the row index
-            ("# c4\n1\n2\n\n3\n9\n", ":6: entry 9 out of range"),
-        ])
-        # S3 on the 3 cosets of <y>: transitive, relators fix every point
-        with open(data_path("s3.pres")) as fh:
-            s3 = parse_presentation(fh.read(), "s3.pres")
-        assert_input_errors(lambda p: load_table(p, s3), tmp_path / "t.txt", [
-            ("1 0\n2 2\n0 1\n", ": action is not regular: Schreier element "
-             "at ('1', y) moves a point"),
-        ])
+class TestValidateGraph:
+    def test_rejects_bad_tables(self, s3_presentation):
+        """Permutation tables that enumeration must never pass on: not
+        transitive, x^4 moving a point, and a transitive action whose
+        relators fix every point but which is not regular."""
+        with pytest.raises(TableError,
+                           match="action is not transitive from the identity"):
+            CayleyGraph(cyclic(4), [[1], [0], [3], [2]])
+        with pytest.raises(TableError, match="relator r does not fix element '1'"):
+            _validate_graph(CayleyGraph(cyclic(4), [[1], [2], [0]]))
+        # S3 on the 3 cosets of <y>
+        with pytest.raises(TableError, match=r"action is not regular: Schreier "
+                                             r"element at \('1', y\) moves a point"):
+            _validate_graph(CayleyGraph(s3_presentation, [[1, 0], [2, 2], [0, 1]]))
 
 
 class TestTrees:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossres import FillError
-from crossres.crossed import CrossedElt, IDENTITY_CROSSED, boundary2, mult
+from crossres.crossed import (CrossedElt, IDENTITY_CROSSED, boundary2, mult,
+                              parse_crossed)
 from crossres.group_core import Contraction0, bfs_tree, enumerate_presentation
 from crossres.inputs import parse_presentation, tree_from_file
 from crossres.logged_rewriter import (DEFAULT_LIMITS, FillLimits, H1Table,
@@ -94,6 +95,21 @@ class TestBuildH1:
         entries.pop((g, k))
         with pytest.raises(ValueError):  # missing coverage
             H1Table(s3_contraction, entries)
+
+    def test_table_refuses_tree_arrows(self, s3_graph):
+        """h1 is the empty consequence on a tree arrow, so H1Table takes no
+        entry there, whoever builds it: not the trivial consequence, and
+        not an identity among relations, whose boundary rho(1, x) = 1
+        would pass the boundary check."""
+        con = Contraction0(s3_graph,
+                           tree_from_file(data_path("s3.tree"), s3_graph))
+        entries = build_h1(con, data_path("s3.h1")).entries
+        assert (0, 0) in con.tree
+        for c in (IDENTITY_CROSSED, parse_crossed("r^+1@1 r^-1@x")):
+            assert boundary2(c, s3_graph.presentation).is_empty()
+            with pytest.raises(ValueError, match=r"h1 entry at tree edge "
+                                                 r"\('1', x\)"):
+                H1Table(con, {**entries, (0, 0): c})
 
 
 class TestH1Eval:

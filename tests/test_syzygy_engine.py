@@ -421,6 +421,52 @@ class TestVerifyAndSerialize:
                            match=r"level 3: candidate \(1, r\) has no crossed form"):
             import_json(json.dumps(doc))
 
+    def test_import_rejects_an_h1_entry_on_a_tree_arrow(self, s3_state):
+        """(1, x) is a tree arrow of the S3 fixture; an identity among
+        relations there has the boundary rho(1, x) = 1, so only H1Table's
+        tree-arrow rule refuses it."""
+        doc = json.loads(export_json(s3_state))
+        doc["h1"]["1 x"] = "r^+1@1 r^-1@x"
+        with pytest.raises(ValueError,
+                           match=r"h1 entry at tree edge \('1', x\)"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_an_unknown_generator_in_a_tag(self, s3_state):
+        text = export_json(s3_state)
+        doc = json.loads(text)
+        doc["h1"]["x z"] = doc["h1"].pop("x x")
+        with pytest.raises(ValueError,
+                           match=r"h1 key 'x z': unknown generator 'z'"):
+            import_json(json.dumps(doc))
+        doc = json.loads(text)
+        doc["tree"][0] = ["x", "z"]
+        with pytest.raises(ValueError, match=r"tree edge \['x', 'z'\]: "
+                                             r"unknown generator 'z'"):
+            import_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("xi", None, "field 'xi' is missing"),
+        ("basis", {}, "field 'basis' is missing or not a list"),
+        ("candidates", [{"form": {}}], "field 'tag' is missing"),
+    ])
+    def test_import_rejects_a_missing_or_mistyped_field(self, s3_state, field,
+                                                        value, message):
+        doc = json.loads(export_json(s3_state))
+        if value is None:
+            del doc["levels"]["3"][field]
+        else:
+            doc["levels"]["3"][field] = value
+        with pytest.raises(ValueError, match=f"level 3: {message}"):
+            import_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("relators", [[["r", 7]], [["r"]]])
+    def test_import_rejects_a_mistyped_relator(self, relators):
+        doc = json.loads(export_json(build_state(
+            RunConfig(presentation=data_path("c4.pres")))))
+        doc["presentation"]["relators"] = relators
+        with pytest.raises(ValueError, match="presentation: "):
+            import_json(json.dumps(doc))
+
     def test_render_tables_mentions_every_tag(self, s3_state):
         out = render_tables(s3_state)
         graph = s3_state.graph

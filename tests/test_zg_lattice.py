@@ -272,16 +272,13 @@ def _dot(coeffs, rows, width):
 def test_int_span_log_and_relations(matrix, batches):
     """Added in batches, the span's log rows give its HNF rows and its
     relations give zero, and the relations span the same lattice as the
-    relation rows of one identity-logged HNF over all inputs.  It keeps
-    every input's sparse support, in input order."""
+    relation rows of one identity-logged HNF over all inputs."""
     width, raw = matrix
     span, start = IntSpan(width), 0
     for size in batches + [len(raw)]:
         span.add(*raw[start:start + size])
         start += size
     assert span.size == len(raw)
-    assert span.supports == [[(p, a) for p, a in enumerate(v) if a]
-                             for v in raw]
     for row, log in zip(span.rows, span.log):
         assert _dot(log, raw, width) == row
     for rel in span.relations:
@@ -317,6 +314,12 @@ class TestOrbitLattice:
     def test_member_solve_rejects_outsiders(self, s3_graph):
         lat = OrbitLattice(s3_graph, ["r"], [unit("r", 0, 2)])
         assert member_solve(lat, unit("r", 0)) is None
+
+    def test_refuses_a_symbol_outside_the_basis(self, s3_graph):
+        with pytest.raises(KeyError):
+            OrbitLattice(s3_graph, ["r"], [unit("s", 0)])
+        with pytest.raises(KeyError):
+            OrbitLattice(s3_graph, ["r"], [unit("s", 0)], IntSpan(6))
 
     def test_member_solve_of_zero(self, s3_graph):
         lat = OrbitLattice(s3_graph, ["r"], [unit("r", 0) - unit("r", 1)])
@@ -445,6 +448,11 @@ def test_greedy_matches_reference(s3_graph, gen_vecs, twin, coeffs, arbitrary,
         # so the element and generator tie-breaks decide
         gens.append(gens[0].translated(s3_graph, twin))
     lat = OrbitLattice(s3_graph, basis, gens)
+    # its supports are the input rows' nonzero pairs, in input order
+    rows = [expand(s3_graph, basis, m.translated(s3_graph, g))
+            for m in gens for g in range(6)]
+    assert ([sorted(pairs) for pairs in lat._supports]
+            == [[(p, a) for p, a in enumerate(row) if a] for row in rows])
     vec = arbitrary
     if combine:
         # a small integer combination of the generator translates

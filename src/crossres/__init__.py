@@ -1,10 +1,11 @@
 """Exact-arithmetic computation of identities among relations.
 
 Given a finite group presentation, the package computes generators of
-the module of identities among its relators, reduces them to a minimal
-generating set with explicit membership certificates, and extends the
-result level by level to a free crossed resolution — all over the
-integers, with every step replayable and verifiable.
+the module of identities among its relators, keeps each one that lies
+outside the span of those kept before it (a later one can still make it
+redundant, so the set is generating, not minimal), certifies the others,
+and extends the result level by level to a free crossed resolution — all
+over the integers, with every step replayable and verifiable.
 
 The package root exports the run entry points and the state's storage
 and replay; every other name is imported from the module that defines it.

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossed import CrossedElt, IDENTITY_CROSSED, boundary2, inv, mult
+from .crossed import CrossedElt, IDENTITY_CROSSED, boundary2
 from .group_core import Contraction0
 from .inputs import h1_entries, whole_file
 from .words import Word, word
@@ -348,21 +348,17 @@ def build_h1(contraction: Contraction0, source="search",
 
 def h1_eval(table: H1Table, g: int, u: Word) -> CrossedElt:
     """h1 of the path that starts at g and reads u, by the morphism law
-    h1(g, uv) = h1(g, u) . h1(g.φ(u), v).  Tree arrows contribute
-    nothing; a reversed arrow contributes the inverse of its entry."""
-    graph = table.graph
-    out = IDENTITY_CROSSED
-    v = g
+    h1(g, uv) = h1(g, u) . h1(g.φ(u), v): the entries' factors, inverted on
+    reversed arrows, concatenated and reduced once (reduction is confluent).
+    Tree arrows have no entry and contribute nothing."""
+    graph, factors, v = table.graph, [], g
     for name, sign in u:
         k = graph.gen_index(name)
         if sign == 1:
-            entry = table.entries.get((v, k))
-            if entry is not None:
-                out = mult(out, entry)
+            factors += table.entries.get((v, k), IDENTITY_CROSSED).factors
             v = graph.fwd[v][k]
         else:
             v = graph.bwd[v][k]
-            entry = table.entries.get((v, k))
-            if entry is not None:
-                out = mult(out, inv(entry))
-    return out
+            entry = table.entries.get((v, k), IDENTITY_CROSSED)
+            factors += [(r, -e, w) for r, e, w in reversed(entry.factors)]
+    return CrossedElt(factors)

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from .crossed import (CrossedElt, ModuleElt, ZERO_MODULE, abelianise, act,
-                      boundary2, crossed, inv, mult, parse_crossed,
-                      render_crossed, unit)
+from .crossed import (CrossedElt, ModuleElt, abelianise, boundary2,
+                      parse_crossed, render_crossed, unit)
 from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .inputs import _parse_tag
@@ -92,10 +91,10 @@ class ResolutionState:
 
 
 def compute_delta3(state: ResolutionState, g: int, rname: str) -> CrossedElt:
-    wr = state.presentation.relator_word(rname)
-    lift = inv(h1_eval(state.h1, g, wr))
-    based = act(crossed(rname), state.contraction.sigma_bar(g))
-    return mult(lift, based)
+    """h1(g, omega_r)^-1 . r^sigma_bar(g), as one factor list."""
+    lift = h1_eval(state.h1, g, state.presentation.relator_word(rname))
+    return CrossedElt([(r, -e, u) for r, e, u in reversed(lift.factors)]
+                      + [(rname, 1, state.contraction.sigma_bar(g))])
 
 
 def level3_candidates(state: ResolutionState) -> list[Candidate]:
@@ -111,18 +110,15 @@ def level3_candidates(state: ResolutionState) -> list[Candidate]:
 
 def homotopy_eval(graph: CayleyGraph, xi, g: int, chain: ModuleElt) -> ModuleElt:
     """Additive homotopy: h(g, sum c . e_prev . g') = sum c . xi[(g.g'^-1, prev)]."""
-    total = ZERO_MODULE
-    for prev, ring in chain.items():
-        for gp, c in ring.items():
+    total: dict[str, dict[int, int]] = {}
+    for prev, ring in chain.coords.items():
+        for gp, c in ring.coeffs.items():
             entry = xi[(graph.mult(g, graph.inv_elt(gp)), prev)]
-            if c == 1:
-                total = total + entry
-            elif c == -1:
-                total = total - entry
-            else:
-                total = total + ModuleElt(
-                    {s: r.scaled(c) for s, r in entry.coords.items()})
-    return total
+            for sym, r in entry.coords.items():
+                row = total.setdefault(sym, {})
+                for h, d in r.coeffs.items():
+                    row[h] = row.get(h, 0) + c * d
+    return ModuleElt({sym: GroupRingElt(row) for sym, row in total.items()})
 
 
 def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
@@ -132,8 +128,8 @@ def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
     out = []
     for g in range(graph.order):
         for sym, _tag in level.basis:
-            h_val = homotopy_eval(graph, level.xi, g, level.boundary[sym])
-            form = (-h_val) + unit(sym, graph.inv_elt(g))
+            form = unit(sym, graph.inv_elt(g)) - homotopy_eval(
+                graph, level.xi, g, level.boundary[sym])
             out.append(Candidate((g, sym), form, None))
     return out
 
@@ -550,11 +546,11 @@ def import_json(text: str) -> ResolutionState:
     parsed once.  Refused, with a ValueError that names where: a missing
     or mistyped field, a bad tag, two keys for one h1 arrow or tag, a tree
     edge or candidate listed twice, a ring that names one element twice,
-    an xi that does not cover exactly the candidate tags, a level-3
-    candidate without a crossed form, a kept symbol whose stored boundary
-    or crossed form is not its candidate's, and (by H1Table) an h1 entry
-    on a tree arrow.  A key written twice in one JSON object is not seen:
-    json.loads keeps the last."""
+    candidate tags other than G x codomain, an xi that does not cover
+    exactly the candidate tags, a level-3 candidate without a crossed
+    form, a kept symbol whose stored boundary or crossed form is not its
+    candidate's, and (by H1Table) an h1 entry on a tree arrow.  A key
+    written twice in one JSON object is not seen: json.loads keeps the last."""
     doc = json.loads(text)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
@@ -644,6 +640,15 @@ def import_json(text: str) -> ResolutionState:
                                  f"has no crossed form")
             by_tag[tag] = Candidate(tag, _parse_module(
                 graph, _field(c, "form", where), where), cf)
+        # the candidates are G x codomain, as the level below gives them
+        codomain = _field(entry, "codomain", where, list)
+        for tag in by_tag:
+            if tag[1] not in codomain:
+                raise ValueError(f"{where}: candidate {_tag_text(graph, tag)} "
+                                 f"is not in G x codomain")
+        if len(by_tag) != graph.order * len(codomain):
+            raise ValueError(f"{where}: {len(by_tag)} candidates, not |G| x "
+                             f"|codomain| = {graph.order * len(codomain)}")
         xi = tagged(_field(entry, "xi", where), "xi", where,
                     partial(_parse_module, graph))
         # verify_state replays xi at every candidate tag, and only there
@@ -664,8 +669,7 @@ def import_json(text: str) -> ResolutionState:
             if cand is None or stored != (cand.form, cand.crossed_form):
                 raise ValueError(f"{where}: the stored boundary or crossed "
                                  f"form of {sym} is not its candidate's")
-        state.levels[n] = Level(_field(entry, "codomain", where, list), basis,
-                                list(by_tag.values()), xi)
+        state.levels[n] = Level(codomain, basis, list(by_tag.values()), xi)
     return state
 
 

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -145,6 +146,25 @@ class TestHomotopyEval:
                 chain = ModuleElt({"r": GroupRingElt({gp: 1})})
                 assert homotopy_eval(graph, xi, graph.mult(g, gp), chain) \
                     == xi[(g, "r")]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @given(data=st.data())
+    def test_matches_the_reference_sum(self, s3_state, n, data):
+        """h(g, chain) is sum c . xi[(g.g'^-1, prev)] with every coefficient
+        c, not only +-1; a sign error that keeps h additive shows here."""
+        graph, level = s3_state.graph, s3_state.levels[n]
+        rings = st.dictionaries(st.integers(0, graph.order - 1),
+                                st.integers(-3, 3), max_size=4)
+        coords = data.draw(st.dictionaries(st.sampled_from(level.codomain), rings))
+        chain = ModuleElt({p: GroupRingElt(r) for p, r in coords.items()})
+        g = data.draw(st.integers(0, graph.order - 1))
+        want = ModuleElt()
+        for prev, ring in chain.items():
+            for gp, c in ring.items():
+                entry = level.xi[(graph.mult(g, graph.inv_elt(gp)), prev)]
+                want = want + ModuleElt(
+                    {s: r.scaled(c) for s, r in entry.coords.items()})
+        assert homotopy_eval(graph, level.xi, g, chain) == want
 
 
 _BENCH_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -406,6 +426,42 @@ class TestVerifyAndSerialize:
         with pytest.raises(ValueError,
                            match=rf"level 4: tag \({head}, {name}\) is listed "
                                  rf"twice among the candidates"):
+            import_json(json.dumps(doc))
+
+    @staticmethod
+    def _rejected_b3_4(doc):
+        """The last level-4 candidate of the S3 fixture tagged b3_4 that is
+        not kept, as (its candidate entry, its xi key)."""
+        level = doc["levels"]["4"]
+        kept = [b["tag"] for b in level["basis"]]
+        cand = [c for c in level["candidates"]
+                if c["tag"][1] == "b3_4" and c["tag"] not in kept][-1]
+        return cand, " ".join(cand["tag"])
+
+    def test_import_rejects_a_candidate_tag_outside_the_codomain(self, s3_state):
+        """A tag and its xi key renamed to a symbol the codomain lacks
+        replays as stored, so only the G x codomain check sees it."""
+        doc = json.loads(export_json(s3_state))
+        cand, key = self._rejected_b3_4(doc)
+        head = cand["tag"][0]
+        cand["tag"] = [head, "bogus"]
+        xi = doc["levels"]["4"]["xi"]
+        xi[f"{head} bogus"] = xi.pop(key)
+        with pytest.raises(ValueError,
+                           match=rf"level 4: candidate \({re.escape(head)}, "
+                                 rf"bogus\) is not in G x codomain"):
+            import_json(json.dumps(doc))
+
+    def test_import_rejects_a_dropped_candidate(self, s3_state):
+        """A rejected candidate dropped together with its xi entry leaves
+        23 of the 6 x 4 tags of level 4."""
+        doc = json.loads(export_json(s3_state))
+        cand, key = self._rejected_b3_4(doc)
+        doc["levels"]["4"]["candidates"].remove(cand)
+        del doc["levels"]["4"]["xi"][key]
+        with pytest.raises(ValueError,
+                           match=r"level 4: 23 candidates, not \|G\| x "
+                                 r"\|codomain\| = 24"):
             import_json(json.dumps(doc))
 
     def test_import_rejects_level3_without_crossed_forms(self, tmp_path):

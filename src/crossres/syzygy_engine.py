@@ -189,7 +189,7 @@ def reduce_level(state: ResolutionState, n: int, candidates,
                 f"certificate pins for tags that are not rejected at "
                 f"level {n}: {names}")
 
-    lattice = OrbitLattice(graph, codomain, list(level.boundary.values()), span)
+    lattice = OrbitLattice(graph, codomain, list(level.boundary.values()))
     for cand in candidates:
         sym = symbol_of_tag[cand.tag]
         if sym is not None:
@@ -544,11 +544,12 @@ def import_json(text: str) -> ResolutionState:
     <name>` key or an [element, name] pair, is read by `inputs._parse_tag`,
     the tag grammar of the input files; each distinct crossed-form text is
     parsed once.  Refused, with a ValueError that names where: a missing
-    or mistyped field, a bad tag, two keys for one h1 arrow or tag, a tree
-    edge or candidate listed twice, a ring that names one element twice,
-    candidate tags other than G x codomain, an xi that does not cover
-    exactly the candidate tags, a level-3 candidate without a crossed
-    form, a kept symbol whose stored boundary or crossed form is not its
+    or mistyped field, a `levels` key other than str(n) for n >= 3, a bad
+    tag, two keys for one h1 arrow or tag, a tree edge or candidate
+    listed twice, a ring that names one element twice, candidate tags
+    other than G x codomain, an xi that does not cover exactly the
+    candidate tags, a level-3 candidate without a crossed form, a kept
+    symbol whose stored boundary or crossed form is not its
     candidate's, and (by H1Table) an h1 entry on a tree arrow.  A key
     written twice in one JSON object is not seen: json.loads keeps the last."""
     doc = json.loads(text)
@@ -618,9 +619,13 @@ def import_json(text: str) -> ResolutionState:
 
     h1 = tagged(_field(doc, "h1", "state"), "h1", "state", parse_form, "generator")
     state = ResolutionState(pres, graph, tree, contraction, H1Table(contraction, h1))
-    levels = _field(doc, "levels", "state")
-    for ntext, entry in sorted(levels.items(), key=lambda kv: int(kv[0])):
-        n = int(ntext)
+    levels = {}
+    for key, entry in _field(doc, "levels", "state").items():
+        n = int(key) if key.isascii() and key.isdigit() else 0
+        if n < 3 or key != str(n):
+            raise ValueError(f"levels: key {key!r} is not a level number n >= 3")
+        levels[n] = entry
+    for n, entry in sorted(levels.items()):
         where = f"level {n}"
         basis = [(_field(b, "symbol", where, str),
                   pair_tag(_field(b, "tag", where, list), f"{where}: basis tag"))

@@ -1,7 +1,8 @@
 """Exact linear algebra over ZG for finite G, by expansion to integer row
-lattices: Hermite normal form, a growing span that logs every HNF row as a
-combination of its inputs and collects the relations among them, membership
-with ZG-certificates, kernel lattices, and canonical lattice equality.
+lattices: Hermite normal form, a growing span for membership tests, orbit
+lattices whose one HNF of [T | I] gives the image, the log and the
+relations at once, membership with ZG-certificates, kernel lattices, and
+canonical lattice equality.
 
 Everything is arbitrary-precision integer arithmetic on lists; a ModuleElt
 over basis B expands to a vector of length |B|.|G| with coordinate
@@ -50,17 +51,18 @@ def _nonzero(row, start=0):
     return [(c, a) for c, a in enumerate(row[start:], start) if a]
 
 
-def _hnf_in_place(rows, width, mirror=None, echelon=False):
+def _hnf_in_place(rows, width, reduced=None):
     """Row-style Hermite normal form by integer row operations.
 
-    Applies the same operations to the optional `mirror` matrix (the
-    transformation log).  Returns the list of pivot columns; on return,
-    rows[:len(pivots)] are the canonical HNF basis (positive pivots,
-    entries above each pivot reduced into [0, pivot)) and the remaining
-    rows are zero.  With `echelon`, the entries above each pivot are left
-    as they are: the rows are an echelon basis of the same lattice with
-    the same pivot columns and pivot values, but not a canonical one.
-    Skipping that reduction changes no row at or below the current pivot.
+    Returns the list of pivot columns; on return, rows[:len(pivots)] are
+    an echelon basis with positive pivots and the remaining rows are
+    zero.  The entries above a pivot in a column before `reduced` (every
+    column by default) are reduced into [0, pivot); those above a later
+    pivot are left as they are.  With the default the rows are the
+    canonical HNF basis.  With a smaller bound they are canonical on the
+    columns before it, with the same pivot columns and pivot values as
+    the HNF: skipping a reduction changes no row at or below the current
+    pivot.
 
     Every operation subtracts q times the pivot row from another row (or
     negates the pivot row).  Subtracting q times a row changes a target
@@ -69,13 +71,12 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
     place at those columns only: `row[c] -= q * b`.  While column `col`
     is processed the pivot row is zero left of `col`, so the list starts
     there.  The same q are applied in the same order as a full-row
-    update would, so every row, and every `mirror` row, ends the same.
-    `mirror` rows have no zero prefix; the pivot's mirror row is listed
-    in full, and only once some target row actually changes.
+    update would, so every row ends the same.
 
-    The row lists in `rows` and `mirror` are mutated in place, so callers
-    pass lists they own, with no list shared between two rows.
+    The row lists in `rows` are mutated in place, so callers pass lists
+    they own, with no list shared between two rows.
     """
+    reduced = width if reduced is None else reduced
     pivots = []
     r = 0
     m = len(rows)
@@ -91,11 +92,8 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
                 break
             if best != r:
                 rows[r], rows[best] = rows[best], rows[r]
-                if mirror is not None:
-                    mirror[r], mirror[best] = mirror[best], mirror[r]
             d = rows[r][col]
             pairs = _nonzero(rows[r], col)
-            log_pairs = None
             done = True
             for i in range(r + 1, m):
                 row = rows[i]
@@ -103,12 +101,6 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
                     q = row[col] // d
                     for c, b in pairs:
                         row[c] -= q * b
-                    if mirror is not None:
-                        if log_pairs is None:
-                            log_pairs = _nonzero(mirror[r])
-                        target = mirror[i]
-                        for c, b in log_pairs:
-                            target[c] -= q * b
                     if row[col]:
                         done = False
             if done:
@@ -121,22 +113,13 @@ def _hnf_in_place(rows, width, mirror=None, echelon=False):
             pairs = [(c, -b) for c, b in pairs]
             for c, b in pairs:
                 pivot[c] = b
-            if mirror is not None:
-                mirror[r] = [-a for a in mirror[r]]
         d = pivot[col]
-        log_pairs = None
-        for i in range(0 if echelon else r):
+        for i in range(r if col < reduced else 0):
             row = rows[i]
             q = row[col] // d
             if q:
                 for c, b in pairs:
                     row[c] -= q * b
-                if mirror is not None:
-                    if log_pairs is None:
-                        log_pairs = _nonzero(mirror[r])
-                    target = mirror[i]
-                    for c, b in log_pairs:
-                        target[c] -= q * b
         pivots.append(col)
         r += 1
         if r == m:
@@ -203,28 +186,16 @@ class Lattice:
 
 
 class IntSpan:
-    """Integer row span grown by `add`, the working structure behind
-    greedy reduction.  After every `add`, `rows` and `pivots` are the
-    canonical HNF of all rows added so far (the inputs, numbered in the
-    order they were added; `size` counts them).
+    """Integer row span grown by `add`, the membership test behind greedy
+    reduction.  After every `add`, `rows` and `pivots` are the canonical
+    HNF of all rows added so far."""
 
-    The span logs how it was built: `log[i]` gives rows[i] as an integer
-    combination of the inputs, and each entry of `relations` is an integer
-    combination of the inputs that is zero.  A relation found when k
-    inputs had been added has length k; the later inputs' coefficients
-    are zero.  Padded to `size`, the log rows and the relations form a
-    unimodular matrix, so the relations span every relation among the
-    inputs."""
-
-    __slots__ = ("ambient", "rows", "pivots", "log", "relations", "size")
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self.log: list[list[int]] = []
-        self.relations: list[list[int]] = []
-        self.size = 0
 
     def contains(self, vec) -> bool:
         residue, _ = _reduce(self.rows, self.pivots, vec)
@@ -232,35 +203,23 @@ class IntSpan:
 
     def add(self, *vecs):
         """Insert every given row, with one HNF over the old rows and the
-        new ones.  The old log rows are padded with zeros and each new row
-        starts its log as a unit row; the log rows of the rows that become
-        zero join `relations`."""
-        k, size = len(vecs), self.size
-        pad = [0] * k
-        log = [row + pad for row in self.log]
-        log += [[0] * (size + i) + [1] + [0] * (k - 1 - i) for i in range(k)]
+        new ones."""
         rows = self.rows + [list(v) for v in vecs]
-        pivots = _hnf_in_place(rows, self.ambient, log)
-        rank = len(pivots)
-        self.rows = rows[:rank]
-        self.pivots = pivots
-        self.log = log[:rank]
-        self.relations += log[rank:]
-        self.size = size + k
+        self.pivots = _hnf_in_place(rows, self.ambient)
+        self.rows = rows[:len(self.pivots)]
 
 
 class OrbitLattice(Lattice):
     """ZG-span of a list of generators, with provenance.  The input rows
-    are the G-translates of the generators, ordered generator-major then
-    element index.  Each HNF row is logged as an integer combination of
-    the input rows (`expr_rows`), and an echelon basis of the integer
-    relations among the input rows (`kernel_rows`) is kept for canonical
-    certificate reduction.
-
-    `span` is an IntSpan into which exactly these input rows were added,
-    in this order, such as the one `reduce_level` grows; the lattice takes
-    its HNF, log and relations.  Without it, the lattice fills its own
-    span from its TranslateTable of the generators, one at a time.
+    T are the G-translates of the generators, ordered generator-major
+    then element index, and one HNF of [T | I] gives everything: each
+    input row is followed by its unit row, and the HNF is canonical on
+    T's columns and echelon on I's.  A row whose pivot lies in T is an
+    HNF row of T (`rows`), followed by its log as an integer combination
+    of the input rows (`expr_rows`).  A row whose pivot lies in I is zero
+    on T, so its I part is a relation among the input rows: these form
+    an echelon basis of all the relations (`kernel_rows`, pivots
+    `kernel_pivots`), kept for canonical certificate reduction.
 
     The certificate searches read private sparse forms, derived once
     here: `_expr_pairs` and `_kernel_pairs` hold the nonzero (column,
@@ -275,41 +234,39 @@ class OrbitLattice(Lattice):
                  "kernel_pivots", "_supports", "_weights", "_by_position",
                  "_expr_pairs", "_kernel_pairs")
 
-    def __init__(self, graph, basis, gens, span=None):
-        n = graph.order
-        n_inputs = len(gens) * n
-        table, fill = TranslateTable(graph, basis, {}), span is None
-        span = IntSpan(len(basis) * n) if fill else span
+    def __init__(self, graph, basis, gens):
+        table = TranslateTable(graph, basis, {})
         for j, m in enumerate(gens):
             table.add(j, m)
-            if fill:
-                span.add(*table.rows([j]))
-        if span.size != n_inputs:
-            raise ValueError(f"span holds {span.size} input rows, "
-                             f"the generators have {n_inputs} translates")
-        self.ambient = span.ambient
-        self.rows = tuple(tuple(r) for r in span.rows)
-        self.pivots = tuple(span.pivots)
+        ambient = table.width
+        inputs = table.rows(range(len(gens)))
+        k = len(inputs)
+        rows = [row + [0] * i + [1] + [0] * (k - 1 - i)
+                for i, row in enumerate(inputs)]
+        pivots = _hnf_in_place(rows, ambient + k, ambient)
+        rank = sum(p < ambient for p in pivots)
+        self.ambient = ambient
+        self.rows = tuple(tuple(r[:ambient]) for r in rows[:rank])
+        self.pivots = tuple(pivots[:rank])
         self.graph = graph
         self.basis = basis
         self.gens = list(gens)
-        self.expr_rows = tuple(tuple(r) for r in span.log)
-        kernel = [r + [0] * (n_inputs - len(r)) for r in span.relations]
-        self.kernel_pivots = tuple(_hnf_in_place(kernel, n_inputs, echelon=True))
-        self.kernel_rows = tuple(tuple(r) for r in kernel[:len(self.kernel_pivots)])
+        self.expr_rows = tuple(tuple(r[ambient:]) for r in rows[:rank])
+        self.kernel_pivots = tuple(p - ambient for p in pivots[rank:])
+        self.kernel_rows = tuple(tuple(r[ambient:]) for r in rows[rank:])
         self._supports = [pairs for j in range(len(gens))
                           for pairs in table.translates[j]]
         self._weights = [sum(abs(v) for _, v in s) for s in self._supports]
-        self._by_position = [([], []) for _ in range(span.ambient)]
+        self._by_position = [([], []) for _ in range(ambient)]
         for i, support in enumerate(self._supports):
             for p, v in support:
                 if v > 0:
                     self._by_position[p][0].append((i, v))
                 else:
                     self._by_position[p][1].append((i, -v))
-        self._expr_pairs = [_nonzero(r) for r in span.log]
+        self._expr_pairs = [_nonzero(r) for r in self.expr_rows]
         self._kernel_pairs = [_nonzero(r, p) for r, p
-                              in zip(kernel, self.kernel_pivots)]
+                              in zip(self.kernel_rows, self.kernel_pivots)]
 
 
 def _greedy_certificate(lat: OrbitLattice, vec):
@@ -386,14 +343,14 @@ def member_solve(lat: OrbitLattice, target: ModuleElt):
     search reaches zero (it reproduces hand-computed retraction tables,
     and reaching zero proves membership).  Otherwise it is the HNF
     solution v reduced modulo the relation lattice K of the generator
-    translates.  K is kept as an echelon basis with positive pivots d_k
-    in columns p_k, not reduced above them, and the reduction leaves
-    every entry v[p_k] in [0, d_k).  That representative of v + K is
-    unique: two of them differ by an element of K whose first nonzero
-    echelon coefficient c sits alone in its pivot column, so
-    |c.d_k| < d_k and c = 0.  So the certificate depends neither on the
-    transformation log nor on which echelon basis of K is used, and it
-    equals the one reduced modulo the HNF of K.
+    translates.  K is kept as the echelon basis that the HNF of [T | I]
+    leaves, with positive pivots d_k in columns p_k, not reduced above
+    them, and the reduction leaves every entry v[p_k] in [0, d_k).  That
+    representative of v + K is unique: two of them differ by an element
+    of K whose first nonzero echelon coefficient c sits alone in its
+    pivot column, so |c.d_k| < d_k and c = 0.  So the certificate
+    depends neither on the transformation log nor on which echelon basis
+    of K is used, and it equals the one reduced modulo the HNF of K.
     """
     vec = expand(lat.graph, lat.basis, target)
     cert = _greedy_certificate(lat, vec)
@@ -487,9 +444,7 @@ class TranslateTable:
 
 def kernel_lattice(graph, dom_basis, codom_basis, mapping) -> Lattice:
     """HNF basis of the integer kernel of the expanded matrix of the map
-    (ZG)^dom -> (ZG)^codom sending b to mapping[b]: the relations an
-    IntSpan collects while it takes in the rows of that matrix."""
-    table = TranslateTable(graph, codom_basis, mapping)
-    span = IntSpan(table.width)
-    span.add(*table.rows(dom_basis))
-    return Lattice(len(dom_basis) * graph.order, span.relations)
+    (ZG)^dom -> (ZG)^codom sending b to mapping[b]: the relations of the
+    OrbitLattice of the images."""
+    lat = OrbitLattice(graph, codom_basis, [mapping[b] for b in dom_basis])
+    return Lattice(len(dom_basis) * graph.order, lat.kernel_rows)

@@ -92,9 +92,11 @@ def test_int_span():
     assert not span.contains([0, 0, 1])
 
 
-def hnf_in_place_reference(rows, width, mirror=None, echelon=False):
-    """The HNF with every row operation over the full row width; with
-    `echelon`, no reduction above the pivots."""
+def hnf_in_place_reference(rows, width, mirror=None, reduced=None):
+    """The HNF with every row operation over the full row width, applied
+    also to the optional `mirror` matrix; no reduction above the pivots
+    in columns from `reduced` on."""
+    reduced = width if reduced is None else reduced
     pivots = []
     r = 0
     m = len(rows)
@@ -128,7 +130,7 @@ def hnf_in_place_reference(rows, width, mirror=None, echelon=False):
                 if mirror is not None:
                     mirror[r] = [-a for a in mirror[r]]
             d = rows[r][col]
-            for i in range(0 if echelon else r):
+            for i in range(r if col < reduced else 0):
                 q = rows[i][col] // d
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
@@ -196,22 +198,16 @@ def _identity(k):
 
 
 @settings(deadline=None)
-@given(matrices() | sparse_matrices(), st.booleans())
-def test_hnf_matches_full_row_reference(matrix, echelon):
-    """The sparse row updates give the full-row reference's rows, pivots
-    and mirror, operation for operation, with and without the reduction
-    above the pivots."""
+@given(matrices() | sparse_matrices(), st.none() | st.integers(0, 6))
+def test_hnf_matches_full_row_reference(matrix, reduced):
+    """The sparse row updates give the full-row reference's rows and
+    pivots, operation for operation, whatever column bound the reduction
+    above the pivots has."""
     width, raw = matrix
     rows, want_rows = [list(r) for r in raw], [list(r) for r in raw]
-    assert (_hnf_in_place(rows, width, echelon=echelon)
-            == hnf_in_place_reference(want_rows, width, echelon=echelon))
+    assert (_hnf_in_place(rows, width, reduced)
+            == hnf_in_place_reference(want_rows, width, reduced=reduced))
     assert rows == want_rows
-    rows, want_rows = [list(r) for r in raw], [list(r) for r in raw]
-    mirror, want_mirror = _identity(len(raw)), _identity(len(raw))
-    assert (_hnf_in_place(rows, width, mirror, echelon)
-            == hnf_in_place_reference(want_rows, width, want_mirror, echelon))
-    assert rows == want_rows
-    assert mirror == want_mirror
 
 
 @settings(deadline=None)
@@ -247,7 +243,7 @@ def _reduce_modulo(rows, pivots, vec):
 def test_echelon_reduction_matches_hnf(matrix, data):
     width, raw = matrix
     rows = [list(r) for r in raw]
-    pivots = _hnf_in_place(rows, width, echelon=True)
+    pivots = _hnf_in_place(rows, width, reduced=0)
     echelon = rows[:len(pivots)]
     lat = Lattice(width, raw)
     assert tuple(pivots) == lat.pivots
@@ -268,25 +264,29 @@ def _dot(coeffs, rows, width):
 
 
 @settings(deadline=None)
-@given(matrices(), st.lists(st.integers(1, 3), max_size=6))
-def test_int_span_log_and_relations(matrix, batches):
-    """Added in batches, the span's log rows give its HNF rows and its
-    relations give zero, and the relations span the same lattice as the
-    relation rows of one identity-logged HNF over all inputs."""
+@given(matrices() | sparse_matrices())
+def test_hnf_beside_identity_gives_log_and_relations(matrix):
+    """The HNF of [raw | I], reduced only on raw's columns: the rows with
+    a pivot there are the HNF of raw beside their logs, which give them
+    from raw, and the other rows are zero on raw beside relations, which
+    span the relation rows of the identity-mirrored reference."""
     width, raw = matrix
-    span, start = IntSpan(width), 0
-    for size in batches + [len(raw)]:
-        span.add(*raw[start:start + size])
-        start += size
-    assert span.size == len(raw)
-    for row, log in zip(span.rows, span.log):
-        assert _dot(log, raw, width) == row
-    for rel in span.relations:
+    k = len(raw)
+    rows = [list(r) + unit for r, unit in zip(raw, _identity(k))]
+    pivots = _hnf_in_place(rows, width + k, reduced=width)
+    rank = sum(p < width for p in pivots)
+    lat = Lattice(width, raw)
+    assert [tuple(r[:width]) for r in rows[:rank]] == list(lat.rows)
+    assert tuple(pivots[:rank]) == lat.pivots
+    for row in rows[:rank]:
+        assert _dot(row[width:], raw, width) == row[:width]
+    relations = [row[width:] for row in rows[rank:]]
+    assert all(not any(row[:width]) for row in rows[rank:])
+    for rel in relations:
         assert not any(_dot(rel, raw, width))
-    rows, mirror = [list(r) for r in raw], _identity(len(raw))
-    rank = len(_hnf_in_place(rows, width, mirror))
-    padded = [rel + [0] * (len(raw) - len(rel)) for rel in span.relations]
-    assert Lattice(len(raw), padded) == Lattice(len(raw), mirror[rank:])
+    want, mirror = [list(r) for r in raw], _identity(k)
+    want_rank = len(hnf_in_place_reference(want, width, mirror))
+    assert Lattice(k, relations) == Lattice(k, mirror[want_rank:])
 
 
 class TestOrbitLattice:
@@ -318,8 +318,6 @@ class TestOrbitLattice:
     def test_refuses_a_symbol_outside_the_basis(self, s3_graph):
         with pytest.raises(KeyError):
             OrbitLattice(s3_graph, ["r"], [unit("s", 0)])
-        with pytest.raises(KeyError):
-            OrbitLattice(s3_graph, ["r"], [unit("s", 0)], IntSpan(6))
 
     def test_member_solve_of_zero(self, s3_graph):
         lat = OrbitLattice(s3_graph, ["r"], [unit("r", 0) - unit("r", 1)])

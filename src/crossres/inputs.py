@@ -218,8 +218,21 @@ def _parse_pin_terms(text, graph, where):
     return terms
 
 
+class FileTag(tuple):
+    """An (element index, name) tag read from a file.  It equals the plain
+    tag, and `where` is the `path:line` it was read on, for a refusal
+    made once the candidates are known."""
+
+    def __new__(cls, tag, where):
+        self = super().__new__(cls, tag)
+        self.where = where
+        return self
+
+
 def parse_order_file(path, graph):
-    """-> (explicit tag lists per level, certificate pins per level)."""
+    """-> (explicit tag lists per level, certificate pins per level).  The
+    listed tags are FileTags, so a tag that is not a candidate of its
+    level is refused naming its line."""
     explicit: dict[int, list] = {}
     overrides: dict[int, dict] = {}
     section = None  # ("level" | "xi", n)
@@ -246,7 +259,7 @@ def parse_order_file(path, graph):
             raise InputError(f"{where}: line outside any section")
         kind, n = section
         if kind == "level":
-            tag = _parse_tag(line, graph, where)
+            tag = FileTag(_parse_tag(line, graph, where), where)
             if tag in explicit[n]:
                 raise InputError(f"{where}: duplicate tag in [level {n}] section")
             explicit[n].append(tag)

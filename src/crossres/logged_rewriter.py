@@ -24,16 +24,21 @@ the first copy and charges the later copies' nodes in place, since a
 revisit at the same depth can only cost one node and fail (the argument
 is in fill_loop).  At the last depth of an iteration each move leads to a
 leaf that costs one node, so the search counts those moves instead of
-building their children.  It builds a child there only when the child
-might exceed the length limit, or might be empty: an empty child means
-the word is a conjugate of a relator's rotation, so its cyclically
-reduced length must equal the relator's.  The rotation table is built
-once per build_h1 call and shared by its fill_loop calls; it is never
-kept beyond that call.
+building their children.  A child there is in doubt when it might exceed
+the length limit, or might be empty: an empty child means the word is a
+conjugate of a relator's rotation, so its cyclically reduced length must
+equal the relator's.  When no child of a word is in doubt, one pass of
+an automaton over the word counts every move: the trie of the distinct
+rotations with the failure transitions of Aho and Corasick.  Otherwise
+each rotation is matched at each position, and the children in doubt
+are built.  The rotation table and the automaton are built once per
+build_h1 call and shared by its fill_loop calls; they are never kept
+beyond that call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .crossed import CrossedElt, IDENTITY_CROSSED, boundary2
@@ -119,8 +124,58 @@ def _rotation_table(pres):
     return table
 
 
+def _rotation_automaton(table):
+    """(automaton, sizes, reach): what the last depth of fill_loop needs
+    to count its moves on the rotation table `table` in one pass over a
+    word, without matching each rotation at each position.
+    - automaton is the trie of the distinct rotations, as nested dicts
+      keyed by letter, completed with the failure transitions of Aho and
+      Corasick (Comm. ACM 18(6), 1975).  Reading a word's letters from the
+      root, one transition a letter (a letter in no rotation leads back to
+      the root), reaches after each letter the node of the longest suffix
+      read so far that starts some rotation.  Under the key 0 (no letter
+      is coded 0) each node holds the number of copies of the rotations
+      that start with its letters, summed over it and every shorter
+      suffix of its letters that is a node too.  A rotation matching m
+      letters at a position is then counted once at each of those m
+      letters, as fill_loop counts its moves.
+    - sizes is the set of the rotations' cyclic lengths.
+    - reach is the largest grow[m] over every rotation and match length
+      m >= 1: no child is longer than its word by more."""
+    root: dict = {0: 0}
+    alphabet: set = set()
+    sizes, reach = set(), 0
+    for entries in table.values():
+        for rot, _, grow, size, copies in entries:
+            node = root
+            for c in rot:
+                node = node.setdefault(c, {0: 0})
+                node[0] += len(copies)
+            alphabet.update(rot)
+            sizes.add(size)
+            reach = max(reach, *grow[1:])
+    # Breadth first, so that a node's failure node (the node of its
+    # longest proper suffix) is complete, transitions and count, before
+    # the node is reached.
+    queue = deque()
+    for c in alphabet:
+        if c in root:
+            queue.append((root[c], root))
+        else:
+            root[c] = root
+    while queue:
+        node, fail = queue.popleft()
+        node[0] += fail[0]
+        for c in alphabet:
+            if c in node:
+                queue.append((node[c], fail[c]))
+            else:
+                node[c] = fail[c]
+    return root, sizes, reach
+
+
 def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
-              rotations=None) -> CrossedElt:
+              rotations=None, automaton=None) -> CrossedElt:
     """Find c with boundary2(c) = w, by iterative-deepening logged rewriting.
 
     Raises FillError when no filling is found within limits (the word may
@@ -128,8 +183,9 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
     The caller is responsible for φ(w) = 1; a filling found here proves
     it, and no filling exists otherwise.
 
-    `rotations` is `_rotation_table(pres)`; build_h1 builds it once for all
-    its calls, and a call without it builds its own.  A letter of w that is
+    `rotations` is `_rotation_table(pres)` and `automaton` is
+    `_rotation_automaton(rotations)`; build_h1 builds them once for all its
+    calls, and a call without them builds its own.  A letter of w that is
     not a generator gets the next free code here and matches no rotation.
 
     Above the last depth the children of a word are sorted by key and
@@ -143,19 +199,27 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
     same child either way.
 
     At the last depth every move leads to a leaf that costs one node, so
-    the moves are counted, not visited, and a child is built only where
-    its length bound L + grow[m] exceeds max_length, or where it can be
-    empty.  The child p.tails[m].s of letters = p.rot[:m].s is empty
-    exactly when p.rot[m:]^-1.s = 1 in the free group, that is, when
-    letters is the reduced conjugate p.rot.p^-1 of the rotation.  Conjugate
-    words have cyclic reductions of one length, so an empty child needs
-    the cyclic length of letters to equal its relator's.  When the budget
-    cannot pay for every move, the children are built and walked in order
-    as at any other depth, so the word the search runs out on is named.
+    the moves are counted, not visited.  A child is in doubt where its
+    length bound L + grow[m] exceeds max_length, or where it can be empty.
+    The child p.tails[m].s of letters = p.rot[:m].s is empty exactly when
+    p.rot[m:]^-1.s = 1 in the free group, that is, when letters is the
+    reduced conjugate p.rot.p^-1 of the rotation.  Conjugate words have
+    cyclic reductions of one length, so an empty child needs the cyclic
+    length of letters to equal its relator's.  When the cyclic length of
+    letters is no rotation's size and the largest grow fits in
+    max_length - L, no child is in doubt, and the automaton counts the
+    moves in one pass over letters.  Otherwise each rotation is matched
+    at each position and a child is built where it is in doubt.  When the
+    budget cannot pay for every move, the children are built and walked
+    in order as at any other depth, so the word the search runs out on is
+    named.
     """
     if w.is_empty():
         return IDENTITY_CROSSED
     table = _rotation_table(pres) if rotations is None else rotations
+    root, sizes, reach = (_rotation_automaton(table) if automaton is None
+                          else automaton)
+    get, join = table.get, _join
     names = tuple(dict.fromkeys(pres.generators + tuple(n for n, _ in w)))
     code = {name: k + 1 for k, name in enumerate(names)}
 
@@ -181,37 +245,65 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
         and the key kept here leaves the match length out.  Equal rotations
         share the child too; `first` marks the least of their copies."""
         found = []
+        add = found.append
         L = len(letters)
-        for i in range(L):
+        for i, c in enumerate(letters):
+            entries = get(c)
+            if entries is None:
+                continue
             p = letters[:i]
-            for rot, tails, _, _, copies in table.get(letters[i], ()):
-                top = min(len(rot), L - i)
+            left = L - i
+            for rot, tails, _, _, copies in entries:
+                top = len(rot)
+                if left < top:
+                    top = left
                 m = 1
                 while m < top and letters[i + m] == rot[m]:
                     m += 1
-                child = _join(_join(p, tails[m]), letters[i + m:])
-                if len(child) <= max_length:
-                    for n, (ri, flag, offset, move) in enumerate(copies):
-                        found.append((len(child), i, ri, flag, offset, m, child,
-                                      move, n == 0))
+                child = join(join(p, tails[m]), letters[i + m:])
+                length = len(child)
+                if length <= max_length:
+                    first = True
+                    for ri, flag, offset, move in copies:
+                        add((length, i, ri, flag, offset, m, child, move, first))
+                        first = False
         return found
 
     def leaf(letters):
         """(moves, (move, position) of the first empty child or None): the
-        match count and first empty child over what children() would list,
-        building a child only where its length or emptiness is in doubt."""
+        match count and first empty child over what children() would list.
+
+        When no child can be empty or too long, the moves are counted in
+        one pass of the automaton over the letters: each letter adds the
+        copies of every rotation matched up to it from an earlier or the
+        same position, so a rotation matching m letters is counted m
+        times, once per move.  Otherwise each rotation is matched at each
+        position, and a child is built where its length or emptiness is in
+        doubt."""
         L = len(letters)
         slack = max_length - L
         cyclic = _cyclic_length(letters)
+        if reach <= slack and cyclic not in sizes:
+            moves, node = 0, root
+            for c in letters:
+                node = node.get(c, root)
+                moves += node[0]
+            return moves, None
         moves, empty = 0, None
-        for i in range(L):
-            for rot, tails, grow, size, copies in table.get(letters[i], ()):
-                top = min(len(rot), L - i)
+        for i, c in enumerate(letters):
+            entries = get(c)
+            if entries is None:
+                continue
+            left = L - i
+            for rot, tails, grow, size, copies in entries:
+                top = len(rot)
+                if left < top:
+                    top = left
                 m = 1
                 while m < top and letters[i + m] == rot[m]:
                     m += 1
                 if size == cyclic or grow[m] > slack:
-                    child = _join(_join(letters[:i], tails[m]), letters[i + m:])
+                    child = join(join(letters[:i], tails[m]), letters[i + m:])
                     if len(child) > max_length:
                         continue
                     if not child and empty is None:
@@ -275,7 +367,11 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
         factors = dfs(encode(w.letters), depth, {})
         if factors is not None:
             result = CrossedElt(factors)
-            assert boundary2(result, pres) == w
+            got = boundary2(result, pres)
+            if got != w:
+                raise RuntimeError(
+                    f"filling found for {w.render()!r} has boundary "
+                    f"{got.render()!r}")
             return result
     raise FillError(
         f"filling not found within limits for {w.render()!r} "
@@ -324,9 +420,11 @@ def build_h1(contraction: Contraction0, source="search",
     rho by fill_loop) or the path of an h1 file (format in `inputs`)."""
     graph = contraction.graph
     if source == "search":
-        # One rotation table for every fill_loop call of this build, and
-        # no longer: a table kept past the call would keep its presentation.
+        # One rotation table and automaton for every fill_loop call of
+        # this build, and no longer: kept past the call, they would keep
+        # its presentation.
         rotations = _rotation_table(graph.presentation)
+        automaton = _rotation_automaton(rotations)
         entries = {}
         for g in range(graph.order):
             for k in range(len(graph.gens)):
@@ -335,7 +433,7 @@ def build_h1(contraction: Contraction0, source="search",
                 loop = contraction.rho(g, word(graph.gens[k]))
                 try:
                     entries[(g, k)] = fill_loop(graph.presentation, loop, limits,
-                                                rotations)
+                                                rotations, automaton)
                 except FillError as exc:
                     raise FillError(
                         f"h1 search failed at edge ({graph.elt_name(g)!r}, "

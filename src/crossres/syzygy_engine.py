@@ -134,18 +134,24 @@ def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
     return out
 
 
-def order_candidates(candidates, policy="declared", explicit=None):
+def order_candidates(candidates, policy="declared", explicit=None, graph=None):
     """Reduction order: `explicit` tags (a prefix) first, the rest in
-    declared order; policy "support" stably sorts by support size."""
+    declared order; policy "support" stably sorts by support size.  A
+    refused tag is named through `graph` when it is given, and after the
+    `path:line` it was read on when it is a FileTag."""
     by_tag = {c.tag: c for c in candidates}
     if explicit:
         seen = set()
         for tag in explicit:
-            if tag not in by_tag:
-                raise ValueError(f"unknown tag in order file: {tag}")
-            if tag in seen:
-                raise ValueError(f"duplicate tag in order file: {tag}")
-            seen.add(tag)
+            if tag in by_tag and tag not in seen:
+                seen.add(tag)
+                continue
+            where = getattr(tag, "where", None)
+            named = graph is not None and 0 <= tag[0] < graph.order
+            raise ValueError(
+                f"{where + ': ' if where else ''}"
+                f"{'duplicate' if tag in seen else 'unknown'} tag in order "
+                f"file: {_tag_text(graph, tag) if named else tag}")
         rest = [c for c in candidates if c.tag not in seen]
         ordered = [by_tag[t] for t in explicit] + rest
     else:
@@ -247,7 +253,7 @@ def extend_resolution(state: ResolutionState, max_level: int,
     for n in range(3, max_level + 1):
         cands = (level3_candidates(state) if n == 3
                  else next_candidates(state, n - 1))
-        ordered = order_candidates(cands, policy, explicit.get(n))
+        ordered = order_candidates(cands, policy, explicit.get(n), state.graph)
         reduce_level(state, n, ordered, overrides.get(n))
     return state
 

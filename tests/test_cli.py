@@ -211,6 +211,20 @@ class TestMain:
             == f"error: {pres}: invalid relator name 'a@b'\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("level, body, line, text", [
+        (3, "[level 3]\n1 q\n", 2, "unknown tag in order file: (1, q)"),
+        # b3_5 is not kept at level 3, so (y, b3_5) is no level-4 candidate
+        (4, "[level 3]\nx r\n[level 4]\n1 b3_1\ny b3_5\n", 5,
+         "unknown tag in order file: (y, b3_5)"),
+    ])
+    def test_order_file_refusal_names_the_line(self, tmp_path, capsys,
+                                               level, body, line, text):
+        order = tmp_path / "bad.order"
+        order.write_text(body)
+        assert main([data_path("s3.pres"), "--max-level", str(level),
+                     "--order", str(order)]) == 2
+        assert capsys.readouterr().err == f"error: {order}:{line}: {text}\n"
+
     def test_defaults_come_from_run_config(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)

@@ -1,16 +1,16 @@
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crossres import FillError
+from crossres import FillError, logged_rewriter
 from crossres.crossed import (CrossedElt, IDENTITY_CROSSED, boundary2, mult,
                               parse_crossed)
 from crossres.group_core import Contraction0, bfs_tree, enumerate_presentation
 from crossres.inputs import parse_presentation, tree_from_file
 from crossres.logged_rewriter import (DEFAULT_LIMITS, FillLimits, H1Table,
-                                      _rotation_table, build_h1, fill_loop,
-                                      h1_eval)
+                                      _rotation_automaton, _rotation_table,
+                                      build_h1, fill_loop, h1_eval)
 from crossres.words import Word, parse_word, word
 from conftest import assert_input_errors, data_path
 
@@ -46,6 +46,16 @@ class TestFillLoop:
         tiny = FillLimits(max_depth=1, max_length_factor=4, node_budget=1000)
         with pytest.raises(FillError):
             fill_loop(s3_presentation, w, tiny)
+
+    def test_self_check_raises_naming_the_word(self, s3_presentation,
+                                               monkeypatch):
+        # fill_loop replays every filling it returns; the check is no
+        # assert, so python -O keeps it
+        monkeypatch.setattr(logged_rewriter, "boundary2",
+                            lambda c, pres: parse_word("y"))
+        with pytest.raises(RuntimeError, match=r"^filling found for 'x\^3' "
+                                               r"has boundary 'y'$"):
+            fill_loop(s3_presentation, parse_word("x^3"))
 
     def test_non_loop_rejected(self, s3_presentation):
         with pytest.raises(FillError):
@@ -299,6 +309,44 @@ class TestFillLoopReference:
                     == _outcome(_reference_fill_loop, pres, loop, limits)), edge
 
 
+@st.composite
+def consequences(draw):
+    """(group, presentation, w): w a freely reduced product of one to three
+    relators or their inverses, each conjugated by a word of length at
+    most 4, in one of REFERENCE_PRESENTATIONS."""
+    group = draw(st.sampled_from(sorted(REFERENCE_PRESENTATIONS)))
+    pres = parse_presentation(REFERENCE_PRESENTATIONS[group])
+    letters = st.sampled_from([(x, s) for x in pres.generators for s in (1, -1)])
+    w = Word()
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.sampled_from(pres.relators))[1]
+        a = Word(draw(st.lists(letters, max_size=4)))
+        w = w * a.inv() * (r.inv() if draw(st.booleans()) else r) * a
+    return group, pres, w
+
+
+def _case(group, text):
+    return group, parse_presentation(REFERENCE_PRESENTATIONS[group]), parse_word(text)
+
+
+class TestFillLoopOnConsequences:
+    """fill_loop on consequences that are no rho-loop of a BFS tree: a lone
+    conjugated relator has an empty child at the last depth, and the
+    copies of D6's x^6 are charged in place."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=consequences(), budget=st.integers(1, 3000),
+           factor=st.sampled_from([1, 2, 4]))
+    @example(case=_case("D6", "y x^6 y^-1"), budget=3000, factor=4)
+    @example(case=_case("D6", "y^-1 x^-6 y x y x y"), budget=3000, factor=2)
+    @example(case=_case("S3conj", "x y^3 x^-1"), budget=3000, factor=1)
+    def test_matches_reference(self, case, budget, factor):
+        _, pres, w = case
+        limits = FillLimits(max_length_factor=factor, node_budget=budget)
+        assert (_outcome(fill_loop, pres, w, limits)
+                == _outcome(_reference_fill_loop, pres, w, limits))
+
+
 class TestRotationTable:
     @pytest.mark.parametrize("group", sorted(REFERENCE_PRESENTATIONS))
     def test_each_signed_rotation_is_one_copy(self, group):
@@ -327,6 +375,41 @@ class TestRotationTable:
         assert set(listed) == {(ri, flag, k)
                                for ri, (_, w) in enumerate(pres.relators)
                                for flag in (0, 1) for k in range(len(w))}
+
+
+class TestRotationAutomaton:
+    @settings(deadline=None)
+    @given(group=st.sampled_from(sorted(REFERENCE_PRESENTATIONS)),
+           # 3 codes a letter outside the two generators
+           letters=st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=20))
+    def test_one_pass_counts_every_match(self, group, letters):
+        # sum over positions and rotations of match length x copies, the
+        # count the last depth makes
+        table = _rotation_table(parse_presentation(REFERENCE_PRESENTATIONS[group]))
+        expected = 0
+        for i, c in enumerate(letters):
+            for rot, _, _, _, copies in table.get(c, ()):
+                m = 1
+                while m < min(len(rot), len(letters) - i) \
+                        and letters[i + m] == rot[m]:
+                    m += 1
+                expected += m * len(copies)
+        root, _, _ = _rotation_automaton(table)
+        node, got = root, 0
+        for c in letters:
+            node = node.get(c, root)
+            got += node[0]
+        assert got == expected
+
+    @pytest.mark.parametrize("group", sorted(REFERENCE_PRESENTATIONS))
+    def test_sizes_and_reach(self, group):
+        pres = parse_presentation(REFERENCE_PRESENTATIONS[group])
+        table = _rotation_table(pres)
+        _, sizes, reach = _rotation_automaton(table)
+        entries = [e for es in table.values() for e in es]
+        assert sizes == {size for _, _, _, size, _ in entries}
+        assert reach == max(0, *(g for _, _, grow, _, _ in entries
+                                 for g in grow[1:]))
 
 
 def _least_budget(pres, loop, limits):

@@ -12,6 +12,7 @@ from crossres import (RunConfig, build_state, export_json, import_json,
 from crossres.crossed import (ModuleElt, abelianise, apply_map, boundary2,
                               render_crossed, unit)
 from crossres.group_core import Presentation, enumerate_presentation
+from crossres.inputs import FileTag
 from crossres.syzygy_engine import (ResolutionState, compute_delta3,
                                     fox_matrix_map, homotopy_eval,
                                     level3_candidates, order_candidates,
@@ -65,6 +66,17 @@ class TestOrdering:
             order_candidates(cands, explicit=[(2, "r"), (2, "r")])
         with pytest.raises(ValueError):
             order_candidates(cands, policy="frequency")
+
+    def test_explicit_errors_name_the_file_line(self, s3_state):
+        cands = level3_candidates(s3_state)
+        twice = [FileTag((2, "r"), "f.order:2"), FileTag((2, "r"), "f.order:3")]
+        with pytest.raises(ValueError, match=r"^f\.order:3: duplicate tag in "
+                                             r"order file: \(x\^2, r\)$"):
+            order_candidates(cands, explicit=twice, graph=s3_state.graph)
+        # an element outside the group is shown as its index
+        with pytest.raises(ValueError, match=r"^unknown tag in order file: "
+                                             r"\(99, 'r'\)$"):
+            order_candidates(cands, explicit=[(99, "r")], graph=s3_state.graph)
 
     def test_support_policy(self):
         state = fresh_state(order="support", tree="bfs", h1="search")

@@ -231,8 +231,9 @@ class FileTag(tuple):
 
 def parse_order_file(path, graph):
     """-> (explicit tag lists per level, certificate pins per level).  The
-    listed tags are FileTags, so a tag that is not a candidate of its
-    level is refused naming its line."""
+    listed tags and the pins' keys are FileTags, so a tag that is not a
+    candidate of its level, or a pin that cannot be used, is refused
+    naming its line."""
     explicit: dict[int, list] = {}
     overrides: dict[int, dict] = {}
     section = None  # ("level" | "xi", n)
@@ -268,7 +269,7 @@ def parse_order_file(path, graph):
             if not sep:
                 raise InputError(
                     f"{where}: expected `<element-word> <name> := <terms>`")
-            tag = _parse_tag(head, graph, where)
+            tag = FileTag(_parse_tag(head, graph, where), where)
             if tag in overrides[n]:
                 raise InputError(
                     f"{where}: duplicate certificate pin in [xi {n}] section")

@@ -122,14 +122,23 @@ def homotopy_eval(graph: CayleyGraph, xi, g: int, chain: ModuleElt) -> ModuleElt
 
 
 def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
-    """Level m+1 candidates from level m's basis and retraction log."""
+    """Level m+1 candidates from level m's basis and retraction log: the
+    form of (g, b) is e_b.g^-1 - homotopy_eval(g, delta b), summed in one
+    coefficient map as homotopy_eval sums."""
     graph = state.graph
     level = state.levels[m]
+    xi, mult, inv = level.xi, graph.mult, graph.inv_elt
     out = []
     for g in range(graph.order):
         for sym, _tag in level.basis:
-            form = unit(sym, graph.inv_elt(g)) - homotopy_eval(
-                graph, level.xi, g, level.boundary[sym])
+            total = {sym: {inv(g): 1}}
+            for prev, ring in level.boundary[sym].coords.items():
+                for gp, c in ring.coeffs.items():
+                    for s, r in xi[(mult(g, inv(gp)), prev)].coords.items():
+                        row = total.setdefault(s, {})
+                        for h, d in r.coeffs.items():
+                            row[h] = row.get(h, 0) - c * d
+            form = ModuleElt({s: GroupRingElt(row) for s, row in total.items()})
             out.append(Candidate((g, sym), form, None))
     return out
 
@@ -146,11 +155,9 @@ def order_candidates(candidates, policy="declared", explicit=None, graph=None):
             if tag in by_tag and tag not in seen:
                 seen.add(tag)
                 continue
-            where = getattr(tag, "where", None)
             named = graph is not None and 0 <= tag[0] < graph.order
             raise ValueError(
-                f"{where + ': ' if where else ''}"
-                f"{'duplicate' if tag in seen else 'unknown'} tag in order "
+                f"{_at(tag)}{'duplicate' if tag in seen else 'unknown'} tag in order "
                 f"file: {_tag_text(graph, tag) if named else tag}")
         rest = [c for c in candidates if c.tag not in seen]
         ordered = [by_tag[t] for t in explicit] + rest
@@ -169,7 +176,8 @@ def reduce_level(state: ResolutionState, n: int, candidates,
     ZG-orbit span of the forms accepted so far.  Certificates for the
     others are solved against the full accepted lattice afterwards
     (member_solve), unless pinned by an override; every certificate is
-    checked to replay exactly."""
+    checked to replay exactly.  A refused pin is named after the
+    `path:line` it was read on when its key is a FileTag."""
     graph = state.graph
     codomain = (list(state.presentation.relator_names()) if n == 3
                 else [sym for sym, _ in state.levels[n - 1].basis])
@@ -185,15 +193,15 @@ def reduce_level(state: ResolutionState, n: int, candidates,
     level = Level(codomain, basis, list(candidates), {})
     symbol_of_tag = level.symbol_of_tag
 
-    if cert_overrides:
-        stray = [tag for tag in cert_overrides if tag not in symbol_of_tag]
-        stray += [tag for tag in cert_overrides
-                  if symbol_of_tag.get(tag) is not None]
-        if stray:
-            names = ", ".join(_tag_text(graph, tag) for tag in stray)
-            raise ValueError(
-                f"certificate pins for tags that are not rejected at "
-                f"level {n}: {names}")
+    # candidate tag -> (the pin's own key, its terms)
+    pins = {tag: (tag, terms) for tag, terms in (cert_overrides or {}).items()}
+    stray = [tag for tag in pins if tag not in symbol_of_tag]
+    stray += [tag for tag in pins if symbol_of_tag.get(tag) is not None]
+    if stray:
+        names = ", ".join(_tag_text(graph, tag) for tag in stray)
+        raise ValueError(
+            f"{_at(stray[0])}certificate pins for tags that are not rejected "
+            f"at level {n}: {names}")
 
     lattice = OrbitLattice(graph, codomain, list(level.boundary.values()))
     for cand in candidates:
@@ -201,9 +209,9 @@ def reduce_level(state: ResolutionState, n: int, candidates,
         if sym is not None:
             level.xi[cand.tag] = unit(sym)
             continue
-        override = (cert_overrides or {}).get(cand.tag)
-        if override is not None:
-            cert = _resolve_override(state, graph, basis, override, cand.tag)
+        pin = pins.get(cand.tag)
+        if pin is not None:
+            cert = _resolve_override(graph, basis, *pin)
         else:
             solved = member_solve(lattice, cand.form)
             if solved is None:
@@ -223,7 +231,7 @@ def reduce_level(state: ResolutionState, n: int, candidates,
     return level
 
 
-def _resolve_override(state, graph, basis, terms, tag):
+def _resolve_override(graph, basis, tag, terms):
     """Certificate pin: list of (coeff, symbol, element Word) resolved
     against this level's accepted basis."""
     known = {sym for sym, _ in basis}
@@ -231,7 +239,7 @@ def _resolve_override(state, graph, basis, terms, tag):
     for coeff, sym, w in terms:
         if sym not in known:
             raise ValueError(
-                f"certificate pin for {_tag_text(graph, tag)} references "
+                f"{_at(tag)}certificate pin for {_tag_text(graph, tag)} references "
                 f"{sym!r}, which was not accepted at this level")
         g = graph.eval_word(w, 0)
         d = coords.setdefault(sym, {})
@@ -242,6 +250,12 @@ def _resolve_override(state, graph, basis, terms, tag):
 def _tag_text(graph, tag):
     g, name = tag
     return f"({graph.elt_name(g)}, {name})"
+
+
+def _at(tag):
+    """`path:line: ` for a tag read from a file (a FileTag), else ""."""
+    where = getattr(tag, "where", None)
+    return f"{where}: " if where else ""
 
 
 def extend_resolution(state: ResolutionState, max_level: int,
@@ -274,10 +288,41 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     """Re-derive every stored invariant; returns (ok, report rows).
     Each row is (check, level, element, ok, detail).
 
-    Exactness (image of delta_n = kernel of delta_{n-1}, as integer
-    lattices) needs no transformation log.  The `dd` rows show image <=
-    kernel.  The kernel of an integer matrix is saturated (it is its
-    rational span cut with the integers), and rank(kernel) = #rows -
+    Exactness (image of delta_n = kernel of delta_{n-1}) is first proved
+    by the contracting homotopy the state holds (Brown, Cohomology of
+    Groups, ch. I).  Let H_{n-1}(e.g^-1) = xi_n[(g, e)] on the Z-basis of
+    C_{n-1}, and let H_1 be the abelianised h1.  Candidate (g, e) of level
+    n is e.g^-1 - H_{n-2}(delta_{n-1}(e.g^-1)) (`next_candidates`; at
+    level 3 the abelianised `compute_delta3`), and the retraction rows say
+    delta_n xi_n[(g, e)] is that form.  So delta_n H_{n-1} + H_{n-2}
+    delta_{n-1} = 1 on every e.g^-1, and each z in the kernel of
+    delta_{n-1} is delta_n H_{n-1}(z), in the image.  The image lies in
+    the kernel by induction: a level-3 boundary abelianises an identity
+    among relations, which lies in the Fox kernel, and above it
+    delta_{n-1} of form (g, e) is H_{n-3}(delta_{n-2} delta_{n-1}(e.g^-1))
+    = 0.  The level-3 `consistency` and `dd` rows hold for the recomputed
+    crossed forms: each abelianises to its form by construction, and its
+    boundary telescopes to 1 when every h1 entry bounds its loop.
+
+    The proof's premises, each checked directly:
+      - every `retr2` and `retr3` row holds, and every arrow with no h1
+        entry has the empty loop;
+      - the levels run 3..N, each codomain is the basis of the level
+        below (the relators at level 3), and no boundary uses a symbol
+        outside it;
+      - every `retr32`/`retr4` row holds, and every xi value uses only
+        its own level's basis symbols;
+      - each level's candidates equal, tag for tag and in number, the
+        ones `level3_candidates`/`next_candidates` recompute (module
+        form, and crossed form at level 3), and each kept symbol's
+        boundary is its tag's form.
+    When they all hold, the `exactness` rows, the `dd` rows and the
+    level-3 `consistency` rows are written ok without being computed.
+    When any fails, each of those rows is checked directly, as follows.
+
+    Direct exactness needs no transformation log.  The `dd` rows show
+    image <= kernel.  The kernel of an integer matrix is saturated (it is
+    its rational span cut with the integers), and rank(kernel) = #rows -
     rank(delta_{n-1}).  So the two lattices are equal exactly when the
     image has that rank and is saturated too.  The image is saturated when
     every pivot of its HNF is 1 (the minor on the pivot columns is
@@ -319,6 +364,21 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     fox = TranslateTable(graph, pres.generators, fox_matrix_map(pres, graph))
     tables = {n: TranslateTable(graph, level.codomain, level.boundary)
               for n, level in state.levels.items()}
+    # retraction: delta_n(xi tag) == candidate form, all tags; checked
+    # before the rows they come after, as premises of the proof
+    retraction = {}
+    for n, level in state.levels.items():
+        name = "retr32" if n == 3 else "retr4"
+        retraction[n] = out = []
+        for cand in level.candidates:
+            diff = tables[n].image(level.xi[cand.tag], cand.form)
+            ok = diff is not None and not any(diff)
+            out.append((name, n, _tag_text(graph, cand.tag), ok,
+                        "" if ok else "delta(xi) != candidate form"))
+    proved = (all(r[3] for r in rows)
+              and all(r[3] for out in retraction.values() for r in out)
+              and _homotopy_premises(state, tables))
+
     dd_ok: dict[int, bool] = {}
     for n in sorted(state.levels):
         level = state.levels[n]
@@ -326,27 +386,27 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
         # stored crossed forms agree with stored module forms (level 3)
         if n == 3:
             for cand in level.candidates:
+                text = _tag_text(graph, cand.tag)
+                if proved:
+                    add("consistency", n, text, True)
+                    add("dd", n, text, True)
+                    continue
                 ok = abelianise(cand.crossed_form, graph, elts) == cand.form
-                add("consistency", n, _tag_text(graph, cand.tag), ok,
+                add("consistency", n, text, ok,
                     "" if ok else "abelianised crossed form != module form")
                 w = boundary2(cand.crossed_form, pres, letters)
-                add("dd", n, _tag_text(graph, cand.tag), w.is_empty(),
+                add("dd", n, text, w.is_empty(),
                     "" if w.is_empty() else
                     f"boundary2 of delta3 reduces to {w.render()}, not 1")
         # dd = 0 for stored boundaries
         dd_ok[n] = True
         for sym, _tag in level.basis:
-            ok = lower is not None and not any(lower.image(level.boundary[sym]))
+            ok = proved or (lower is not None
+                            and not any(lower.image(level.boundary[sym])))
             add("dd", n, sym, ok, "" if ok else "delta(delta(sym)) != 0"
                 if lower else f"level {n - 1} is missing")
             dd_ok[n] = dd_ok[n] and ok
-        # retraction: delta_n(xi tag) == candidate form, all tags
-        name = "retr32" if n == 3 else "retr4"
-        for cand in level.candidates:
-            diff = tables[n].image(level.xi[cand.tag], cand.form)
-            ok = diff is not None and not any(diff)
-            add(name, n, _tag_text(graph, cand.tag), ok,
-                "" if ok else "delta(xi) != candidate form")
+        rows += retraction[n]
         # retr5: translated homotopy lookups resolve to the base entry
         # (the action-killing rule), sampled
         if level.candidates:
@@ -360,12 +420,16 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 add("retr5", n, _tag_text(graph, (h, prev)), ok,
                     "" if ok else "translated lookup mismatch")
 
-    # exactness: image of delta_n equals kernel of delta_{n-1}, by rank
-    # and saturation (see the docstring)
+    # exactness: proved, or image of delta_n equals kernel of delta_{n-1}
+    # by rank and saturation (see the docstring)
     below = pres.relator_names()
-    below_rank = Lattice(fox.width, fox.rows(below)).rank
+    below_rank = None if proved else Lattice(fox.width, fox.rows(below)).rank
     for n in sorted(state.levels):
         level, table = state.levels[n], tables[n]
+        element = f"image(delta{n}) vs kernel(delta{n - 1})"
+        if proved:
+            add("exactness", n - 1, element, True)
+            continue
         image = Lattice(table.width, table.rows([s for s, _ in level.basis]))
         want = image.ambient - below_rank
         if level.codomain != below:
@@ -380,11 +444,46 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
             detail = "image lattice is not saturated"
         else:
             detail = ""
-        add("exactness", n - 1, f"image(delta{n}) vs kernel(delta{n - 1})",
-            not detail, detail)
+        add("exactness", n - 1, element, not detail, detail)
         below, below_rank = [s for s, _ in level.basis], image.rank
 
     return all(r[3] for r in rows), rows
+
+
+def _homotopy_premises(state: ResolutionState, tables) -> bool:
+    """verify_state's premises of the homotopy proof beyond its retr rows:
+    every arrow without an h1 entry (where h1_eval reads 1) has the empty
+    loop; the levels run 3..N, each on the basis below with no symbol
+    outside it and every xi value on its own basis; and every level's
+    candidates and kept boundaries are the recomputed ones.  Each check
+    makes the next one's lookups well defined."""
+    graph, contraction = state.graph, state.contraction
+    for g in range(graph.order):
+        for k, x in enumerate(graph.gens):
+            if ((g, k) not in state.h1.entries
+                    and not contraction.rho(g, Word(((x, 1),))).is_empty()):
+                return False
+    levels = sorted(state.levels)
+    if levels != list(range(3, 3 + len(levels))):
+        return False
+    below = state.presentation.relator_names()
+    for n in levels:
+        level = state.levels[n]
+        kept = {sym for sym, _ in level.basis}
+        if (level.codomain != below or tables[n].extra
+                or any(s not in kept for m in level.xi.values() for s in m.coords)):
+            return False
+        below = [sym for sym, _ in level.basis]
+    for n in levels:
+        level = state.levels[n]
+        fresh = {c.tag: c for c in (level3_candidates(state) if n == 3
+                                    else next_candidates(state, n - 1))}
+        if (len(level.candidates) != len(fresh)
+                or {c.tag: c for c in level.candidates} != fresh
+                or any(tag not in fresh or level.boundary.get(sym) != fresh[tag].form
+                       for sym, tag in level.basis)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,6 @@ class GroupRingElt:
     def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, n: int) -> "GroupRingElt":
-        return GroupRingElt({g: n * c for g, c in self.coeffs.items()})
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElt) and self.coeffs == other.coeffs
 

@@ -6,13 +6,18 @@ from crossres import InputError, RunConfig, build_state
 from crossres.group_core import (Contraction0, Presentation, bfs_tree,
                                  enumerate_presentation)
 from crossres.logged_rewriter import build_h1
-from crossres.words import parse_word
+from crossres.words import GroupRingElt, parse_word
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_path(name: str) -> str:
     return os.path.join(DATA, name)
+
+
+def scaled(ring: GroupRingElt, n: int) -> GroupRingElt:
+    """n . ring, the reference products of the tests are built from."""
+    return GroupRingElt({g: n * c for g, c in ring.coeffs.items()})
 
 
 def s3_config(**kw) -> RunConfig:

@@ -225,6 +225,21 @@ class TestMain:
                      "--order", str(order)]) == 2
         assert capsys.readouterr().err == f"error: {order}:{line}: {text}\n"
 
+    @pytest.mark.parametrize("pin, text", [
+        # in declared order (x, r) is kept, so its pin is refused
+        ("x r := b3_1 @ 1",
+         "certificate pins for tags that are not rejected at level 3: (x, r)"),
+        ("x^2 r := b3_9 @ 1",
+         "certificate pin for (x^2, r) references 'b3_9', which was not "
+         "accepted at this level"),
+    ])
+    def test_pin_refusal_names_the_line(self, tmp_path, capsys, pin, text):
+        order = tmp_path / "pin.order"
+        order.write_text(f"[xi 3]\n{pin}\n")
+        assert main([data_path("s3.pres"), "--max-level", "3",
+                     "--order", str(order)]) == 2
+        assert capsys.readouterr().err == f"error: {order}:2: {text}\n"
+
     def test_defaults_come_from_run_config(self, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)

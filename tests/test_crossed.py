@@ -7,7 +7,7 @@ from crossres.crossed import (CrossedElt, IDENTITY_CROSSED, ModuleElt,
                               render_crossed, unit)
 from crossres.inputs import parse_presentation
 from crossres.words import EMPTY, GroupRingElt, Word, parse_word, word
-from conftest import data_path
+from conftest import data_path, scaled
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])
 conjugators = st.lists(letters, max_size=4).map(
@@ -137,7 +137,7 @@ def apply_map_reference(graph, mapping, m):
         image = mapping[sym]
         for g, n in c.items():
             out = out + ModuleElt(
-                {s: d.translated(graph, g).scaled(n) for s, d in image.coords.items()})
+                {s: scaled(d.translated(graph, g), n) for s, d in image.coords.items()})
     return out
 
 

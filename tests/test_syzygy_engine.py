@@ -1,3 +1,4 @@
+import functools
 import glob
 import hashlib
 import json
@@ -9,17 +10,18 @@ from hypothesis import example, given, strategies as st
 
 from crossres import (RunConfig, build_state, export_json, import_json,
                       render_tables, syzygy_engine, verify_state, zg_lattice)
-from crossres.crossed import (ModuleElt, abelianise, apply_map, boundary2,
-                              render_crossed, unit)
+from crossres.crossed import (CrossedElt, ModuleElt, abelianise, apply_map,
+                              boundary2, render_crossed, unit)
 from crossres.group_core import Presentation, enumerate_presentation
 from crossres.inputs import FileTag
-from crossres.syzygy_engine import (ResolutionState, compute_delta3,
+from crossres.syzygy_engine import (Candidate, ResolutionState,
+                                    compute_delta3, extend_resolution,
                                     fox_matrix_map, homotopy_eval,
-                                    level3_candidates, order_candidates,
-                                    reduce_level)
-from crossres.words import GroupRingElt, parse_word
+                                    level3_candidates, next_candidates,
+                                    order_candidates, reduce_level)
+from crossres.words import EMPTY, GroupRingElt, parse_word
 from crossres.zg_lattice import OrbitLattice, kernel_lattice
-from conftest import data_path, s3_config
+from conftest import data_path, s3_config, scaled
 
 
 def fresh_state(**kw):
@@ -175,7 +177,7 @@ class TestHomotopyEval:
             for gp, c in ring.items():
                 entry = level.xi[(graph.mult(g, graph.inv_elt(gp)), prev)]
                 want = want + ModuleElt(
-                    {s: r.scaled(c) for s, r in entry.coords.items()})
+                    {s: scaled(r, c) for s, r in entry.coords.items()})
         assert homotopy_eval(graph, level.xi, g, chain) == want
 
 
@@ -810,7 +812,7 @@ def _reference_exactness(state):
 def _double_first(level):
     sym = level.basis[0][0]
     level.boundary[sym] = ModuleElt(
-        {s: r.scaled(2) for s, r in level.boundary[sym].coords.items()})
+        {s: scaled(r, 2) for s, r in level.boundary[sym].coords.items()})
 
 
 def _drop_first(level):
@@ -822,6 +824,71 @@ def _drop_first(level):
 def _sum_of_two(level):
     (a, _), (b, _) = level.basis[:2]
     level.boundary[a] = level.boundary[a] + level.boundary[b]
+
+
+def _change_xi(level):
+    tag = level.candidates[0].tag
+    level.xi[tag] = level.xi[tag] + unit(level.basis[0][0])
+
+
+def _change_form(level):
+    # the certificate gains the term the form gains, so the retraction row
+    # still holds; only the recomputed candidate differs
+    sym, cand = level.basis[0][0], level.candidates[-1]
+    level.candidates[-1] = Candidate(cand.tag, cand.form + level.boundary[sym],
+                                     cand.crossed_form)
+    level.xi[cand.tag] = level.xi[cand.tag] + unit(sym)
+
+
+def _foreign_xi_symbol(level):
+    # a copy of the first kept symbol, outside the basis, takes over its
+    # certificate; every retraction row still holds
+    sym, tag = level.basis[0]
+    level.boundary["bogus"] = level.boundary[sym]
+    level.xi[tag] = unit("bogus")
+
+
+def _extra_generator(level):
+    # a kept symbol whose boundary is no candidate form, used by no
+    # certificate, so every retraction row still holds
+    level.basis.append(("bogus", level.candidates[-1].tag))
+    level.boundary["bogus"] = unit(level.codomain[0])
+
+
+def _change_crossed(level):
+    # a commutator of two relators keeps the abelianisation, not the
+    # boundary
+    r, s = level.codomain[:2]
+    cand = level.candidates[0]
+    factors = cand.crossed_form.factors + (
+        (r, 1, EMPTY), (s, 1, EMPTY), (r, -1, EMPTY), (s, -1, EMPTY))
+    level.candidates[0] = Candidate(cand.tag, cand.form, CrossedElt(factors))
+
+
+def _replace_h1_entry(state):
+    # an identity among relations appended to the entry keeps its boundary
+    identity = next(c.crossed_form for c in state.levels[3].candidates
+                    if c.crossed_form.factors)
+    arrow = min(state.h1.entries)
+    state.h1.entries[arrow] = CrossedElt(state.h1.entries[arrow].factors
+                                         + identity.factors)
+
+
+def _drop_h1_entry(state):
+    # level 3 alone is rebuilt on the h1 that lacks the entry, so its
+    # candidates are the recomputed ones, but not all are identities
+    del state.h1.entries[min(state.h1.entries)]
+    state.levels.clear()
+    extend_resolution(state, 3)
+
+
+def _wrong_h1_entry(state):
+    # as above, with one more relator factor on the entry
+    arrow, name = min(state.h1.entries), state.presentation.relator_names()[0]
+    state.h1.entries[arrow] = CrossedElt(state.h1.entries[arrow].factors
+                                         + ((name, 1, EMPTY),))
+    state.levels.clear()
+    extend_resolution(state, 3)
 
 
 _EXACTNESS_STATES = {
@@ -868,6 +935,77 @@ def test_exactness_matches_kernel_reference(name):
                 "image lattice is not saturated")
     assert {p for p in prefixes for d in details if d.startswith(p)} \
         == set(prefixes)
+
+
+@functools.lru_cache(maxsize=None)
+def _built_text(name):
+    """state.json text of a build of `_EXACTNESS_STATES[name]`, or of the
+    S3 fixture pipeline (order file and pins) for "s3-L4"."""
+    config = s3_config() if name == "s3-L4" else _EXACTNESS_STATES[name]()
+    return export_json(build_state(config))
+
+
+@pytest.mark.parametrize("name", sorted(_EXACTNESS_STATES))
+def test_verify_falls_back_to_the_direct_checks_on_faulty_states(
+        name, monkeypatch):
+    """Each fault breaks one premise of verify_state's homotopy proof: a
+    changed xi entry, a candidate form changed with its certificate, an
+    xi value on a symbol outside the basis, an extra kept symbol (at every
+    level), a level-3 crossed form changed, an h1 entry replaced by one
+    with the same boundary, and one deleted or given a wrong boundary
+    with level 3 alone rebuilt on the result.  Then the direct checks run
+    (a Lattice is built), and the rows are those of the direct-way
+    reference."""
+    text = _built_text(name)
+    top = max(import_json(text).levels)
+    cases = [(n, fault) for n in range(3, top + 1)
+             for fault in (_change_xi, _change_form, _foreign_xi_symbol,
+                           _extra_generator)]
+    cases += [(3, _change_crossed), (None, _replace_h1_entry),
+              (None, _drop_h1_entry), (None, _wrong_h1_entry)]
+    built = []
+    init = zg_lattice.Lattice.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(zg_lattice.Lattice, "__init__", counted)
+    for n, fault in cases:
+        state = import_json(text)
+        fault(state if n is None else state.levels[n])
+        del built[:]
+        ok, rows = verify_state(state, samples=2)
+        assert built, (n, fault)
+        assert (ok, rows) == _reference_verify(state, samples=2), (n, fault)
+
+
+@pytest.mark.parametrize("name", ["s3-L4"] + sorted(_EXACTNESS_STATES))
+def test_verify_proves_clean_states_without_a_lattice(name, monkeypatch):
+    """On a clean state the homotopy proves exactness: no Lattice is
+    built, and the rows are still those of the direct-way reference."""
+    state = import_json(_built_text(name))
+    want = _reference_verify(state, samples=2)
+
+    def refuse(self, *args):
+        raise AssertionError("verify_state built a Lattice")
+
+    monkeypatch.setattr(zg_lattice.Lattice, "__init__", refuse)
+    assert verify_state(state, samples=2) == want
+    assert want[0]
+
+
+@pytest.mark.parametrize("name", sorted(_EXACTNESS_STATES))
+def test_next_candidates_is_the_unit_minus_the_homotopy(name):
+    """The one-map form of next_candidates is e_b.g^-1 - h(g, delta b), at
+    every level, the top one included."""
+    state = import_json(_built_text(name))
+    graph = state.graph
+    for m, level in sorted(state.levels.items()):
+        want = [Candidate((g, sym), unit(sym, graph.inv_elt(g)) - homotopy_eval(
+                    graph, level.xi, g, level.boundary[sym]), None)
+                for g in range(graph.order) for sym, _ in level.basis]
+        assert next_candidates(state, m) == want, m
 
 
 def test_missing_level_is_a_failed_row():

@@ -143,20 +143,24 @@ def unit(sym, g: int = 0, c: int = 1) -> ModuleElt:
     return ModuleElt({sym: GroupRingElt({g: c})})
 
 
-def abelianise(a: CrossedElt, graph, elts=None) -> ModuleElt:
-    """(r^e)^u  ->  e . e_r . φ(u), summed over factors.  `elts`, a dict
-    Word -> element that a caller keeps across its calls on one graph,
-    evaluates each distinct conjugator once."""
+def abelian_sums(a: CrossedElt, graph, elts) -> dict[str, dict[int, int]]:
+    """abelianise(a) as {relator: {element: coefficient}}, zero sums kept.
+    `elts`, a dict Word -> element that a caller keeps across its calls on
+    one graph, evaluates each distinct conjugator once."""
     coords: dict[str, dict[int, int]] = {}
     for name, sign, u in a.factors:
-        if elts is None:
-            g = graph.eval_word(u)
-        else:
-            g = elts.get(u)
-            if g is None:
-                g = elts[u] = graph.eval_word(u)
+        g = elts.get(u)
+        if g is None:
+            g = elts[u] = graph.eval_word(u)
         row = coords.setdefault(name, {})
         row[g] = row.get(g, 0) + sign
+    return coords
+
+
+def abelianise(a: CrossedElt, graph, elts=None) -> ModuleElt:
+    """(r^e)^u  ->  e . e_r . φ(u), summed over factors; `elts` as for
+    `abelian_sums`."""
+    coords = abelian_sums(a, graph, {} if elts is None else elts)
     return ModuleElt({name: GroupRingElt(row) for name, row in coords.items()})
 
 

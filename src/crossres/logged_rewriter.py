@@ -444,11 +444,12 @@ def build_h1(contraction: Contraction0, source="search",
         return H1Table(contraction, entries)
 
 
-def h1_eval(table: H1Table, g: int, u: Word) -> CrossedElt:
+def h1_eval(table: H1Table, g: int, u: Word, tail=()) -> CrossedElt:
     """h1 of the path that starts at g and reads u, by the morphism law
-    h1(g, uv) = h1(g, u) . h1(g.φ(u), v): the entries' factors, inverted on
-    reversed arrows, concatenated and reduced once (reduction is confluent).
-    Tree arrows have no entry and contribute nothing."""
+    h1(g, uv) = h1(g, u) . h1(g.φ(u), v), followed by the factors `tail`:
+    the entries' factors, inverted on reversed arrows, concatenated and
+    reduced once (reduction is confluent).  Tree arrows have no entry and
+    contribute nothing."""
     graph, factors, v = table.graph, [], g
     for name, sign in u:
         k = graph.gen_index(name)
@@ -459,4 +460,5 @@ def h1_eval(table: H1Table, g: int, u: Word) -> CrossedElt:
             v = graph.bwd[v][k]
             entry = table.entries.get((v, k), IDENTITY_CROSSED)
             factors += [(r, -e, w) for r, e, w in reversed(entry.factors)]
+    factors += tail
     return CrossedElt(factors)

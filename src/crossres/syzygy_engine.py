@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-from .crossed import (CrossedElt, ModuleElt, abelianise, boundary2,
-                      parse_crossed, render_crossed, unit)
+from .crossed import (CrossedElt, ModuleElt, abelian_sums, abelianise,
+                      boundary2, parse_crossed, render_crossed, unit)
 from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .inputs import _parse_tag
@@ -91,21 +91,16 @@ class ResolutionState:
 
 
 def compute_delta3(state: ResolutionState, g: int, rname: str) -> CrossedElt:
-    """h1(g, omega_r)^-1 . r^sigma_bar(g), as one factor list."""
-    lift = h1_eval(state.h1, g, state.presentation.relator_word(rname))
-    return CrossedElt([(r, -e, u) for r, e, u in reversed(lift.factors)]
-                      + [(rname, 1, state.contraction.sigma_bar(g))])
+    """h1(g, omega_r)^-1 . r^sigma_bar(g), as one factor list reduced once:
+    h1(g, omega_r)^-1 is h1 read along omega_r^-1 from g, since g.φ(omega_r)
+    = g and h1(g, u) . h1(g.φ(u), u^-1) = h1(g, 1) by the morphism law."""
+    return h1_eval(state.h1, g, state.presentation.relator_word(rname).inv(),
+                   [(rname, 1, state.contraction.sigma_bar(g))])
 
 
 def level3_candidates(state: ResolutionState) -> list[Candidate]:
     """All (g, r) tags in declared order: g ascending, relators as declared."""
-    out = []
-    elts: dict = {}  # conjugator -> element, for this call only
-    for g in range(state.graph.order):
-        for rname in state.presentation.relator_names():
-            c = compute_delta3(state, g, rname)
-            out.append(Candidate((g, rname), abelianise(c, state.graph, elts), c))
-    return out
+    return _as_candidates(_candidate_sums(state, 3))
 
 
 def homotopy_eval(graph: CayleyGraph, xi, g: int, chain: ModuleElt) -> ModuleElt:
@@ -123,24 +118,75 @@ def homotopy_eval(graph: CayleyGraph, xi, g: int, chain: ModuleElt) -> ModuleElt
 
 def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
     """Level m+1 candidates from level m's basis and retraction log: the
-    form of (g, b) is e_b.g^-1 - homotopy_eval(g, delta b), summed in one
-    coefficient map as homotopy_eval sums."""
+    form of (g, b) is e_b.g^-1 - homotopy_eval(g, delta b)."""
+    return _as_candidates(_candidate_sums(state, m + 1))
+
+
+def _candidate_sums(state: ResolutionState, n: int) -> list:
+    """(tag, sums, crossed form) for each level-n candidate, in declared
+    order (g ascending, then the relators or the basis below as listed):
+    `sums` is its module form as {symbol: {element: coefficient}} with zero
+    sums kept, and the crossed form is delta3 at level 3, else None.  Above
+    level 3 the form of (g, b) is e_b.g^-1 - homotopy_eval(g, delta b),
+    summed into one map from level n-1's xi values, each flattened to
+    (symbol, ((element, coefficient), ...)) pairs once per call."""
     graph = state.graph
-    level = state.levels[m]
-    xi, mult, inv = level.xi, graph.mult, graph.inv_elt
+    if n == 3:
+        elts: dict = {}  # conjugator -> element, for this call only
+        out = []
+        for g in range(graph.order):
+            for rname in state.presentation.relator_names():
+                c = compute_delta3(state, g, rname)
+                out.append(((g, rname), abelian_sums(c, graph, elts), c))
+        return out
+    level = state.levels[n - 1]
+    right, inv = graph._right, graph._inv
+    flat = {tag: [(s, tuple(r.coeffs.items())) for s, r in m.coords.items()]
+            for tag, m in level.xi.items()}
+    # the terms c . prev . g' of each boundary, with the column of
+    # g'^-1: mult(g, g'^-1) is column[g]
+    terms = {sym: [(right[inv[gp]], prev, c)
+                   for prev, ring in level.boundary[sym].coords.items()
+                   for gp, c in ring.coeffs.items()]
+             for sym, _tag in level.basis}
     out = []
     for g in range(graph.order):
         for sym, _tag in level.basis:
-            total = {sym: {inv(g): 1}}
-            for prev, ring in level.boundary[sym].coords.items():
-                for gp, c in ring.coeffs.items():
-                    for s, r in xi[(mult(g, inv(gp)), prev)].coords.items():
-                        row = total.setdefault(s, {})
-                        for h, d in r.coeffs.items():
-                            row[h] = row.get(h, 0) - c * d
-            form = ModuleElt({s: GroupRingElt(row) for s, row in total.items()})
-            out.append(Candidate((g, sym), form, None))
+            total = {sym: {inv[g]: 1}}
+            for column, prev, c in terms[sym]:
+                for s, pairs in flat[(column[g], prev)]:
+                    row = total.get(s)
+                    if row is None:
+                        row = total[s] = {}
+                    for h, d in pairs:
+                        row[h] = row.get(h, 0) - c * d
+            out.append(((g, sym), total, None))
     return out
+
+
+def _as_candidates(sums) -> list[Candidate]:
+    """The Candidates of `_candidate_sums` rows, zero sums dropped."""
+    return [Candidate(tag, ModuleElt({s: GroupRingElt(row)
+                                      for s, row in total.items()}), crossed)
+            for tag, total, crossed in sums]
+
+
+def _is_form(form: ModuleElt, sums) -> bool:
+    """Whether `form` is `sums` ({symbol: {element: coefficient}}) with
+    its zero sums dropped."""
+    coords, kept = form.coords, 0
+    for s, row in sums.items():
+        if 0 in row.values():
+            row = {h: c for h, c in row.items() if c}
+        ring = coords.get(s)
+        if ring is None:
+            if row:
+                return False
+        elif ring.coeffs != row:
+            return False
+        else:
+            kept += 1
+    return kept == len(coords)
 
 
 def order_candidates(candidates, policy="declared", explicit=None, graph=None):
@@ -313,9 +359,10 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
       - every `retr32`/`retr4` row holds, and every xi value uses only
         its own level's basis symbols;
       - each level's candidates equal, tag for tag and in number, the
-        ones `level3_candidates`/`next_candidates` recompute (module
-        form, and crossed form at level 3), and each kept symbol's
-        boundary is its tag's form.
+        ones `_candidate_sums` recomputes for `level3_candidates` and
+        `next_candidates` (module form as coefficient sums, and crossed
+        form at level 3), and each kept symbol's boundary is its tag's
+        form.
     When they all hold, the `exactness` rows, the `dd` rows and the
     level-3 `consistency` rows are written ok without being computed.
     When any fails, each of those rows is checked directly, as follows.
@@ -455,13 +502,16 @@ def _homotopy_premises(state: ResolutionState, tables) -> bool:
     every arrow without an h1 entry (where h1_eval reads 1) has the empty
     loop; the levels run 3..N, each on the basis below with no symbol
     outside it and every xi value on its own basis; and every level's
-    candidates and kept boundaries are the recomputed ones.  Each check
-    makes the next one's lookups well defined."""
-    graph, contraction = state.graph, state.contraction
+    candidates and kept boundaries are the recomputed ones, each form
+    compared with `_candidate_sums`' coefficient sums as they are.  Each
+    check makes the next one's lookups well defined."""
+    graph, sigma = state.graph, state.contraction.sigma
+    # rho(g, x) = sigma(g) x sigma(g.x)^-1 is empty when sigma(g) x
+    # reduces to the reduced word sigma(g.x)
     for g in range(graph.order):
         for k, x in enumerate(graph.gens):
             if ((g, k) not in state.h1.entries
-                    and not contraction.rho(g, Word(((x, 1),))).is_empty()):
+                    and sigma[g] * Word(((x, 1),)) != sigma[graph.fwd[g][k]]):
                 return False
     levels = sorted(state.levels)
     if levels != list(range(3, 3 + len(levels))):
@@ -476,12 +526,18 @@ def _homotopy_premises(state: ResolutionState, tables) -> bool:
         below = [sym for sym, _ in level.basis]
     for n in levels:
         level = state.levels[n]
-        fresh = {c.tag: c for c in (level3_candidates(state) if n == 3
-                                    else next_candidates(state, n - 1))}
-        if (len(level.candidates) != len(fresh)
-                or {c.tag: c for c in level.candidates} != fresh
-                or any(tag not in fresh or level.boundary.get(sym) != fresh[tag].form
-                       for sym, tag in level.basis)):
+        fresh = {tag: (total, crossed)
+                 for tag, total, crossed in _candidate_sums(state, n)}
+        if len(level.candidates) != len(fresh):
+            return False
+        stored = {c.tag: c for c in level.candidates}
+        for tag, (total, crossed) in fresh.items():
+            cand = stored.get(tag)
+            if (cand is None or cand.crossed_form != crossed
+                    or not _is_form(cand.form, total)):
+                return False
+        if any(tag not in stored or level.boundary.get(sym) != stored[tag].form
+               for sym, tag in level.basis):
             return False
     return True
 
@@ -502,11 +558,27 @@ def _element_keys(graph):
     return [encode_basestring_ascii(name) + ': "' for name in names], rank
 
 
-def _parse_module(graph, data, where) -> ModuleElt:
+def _coefficient(text, coeffs) -> int:
+    """The integer a coefficient text stands for, if it is a text
+    export_json writes: "-" or nothing, then ASCII digits with no leading
+    zero, not "0".  Anything else is refused.  `coeffs`, a dict text -> int
+    kept across the calls of one import, checks each distinct text once."""
+    c = coeffs.get(text) if type(text) is str else None
+    if c is None:
+        digits = text.removeprefix("-") if type(text) is str else ""
+        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+            raise ValueError(f"coefficient {text!r} is not a nonzero integer "
+                             f"written as export_json writes it")
+        c = coeffs[text] = int(text)
+    return c
+
+
+def _parse_module(graph, data, where, coeffs) -> ModuleElt:
     """A module written as {symbol: {element name: coefficient text}}.
-    Canonical names are looked up, other spellings parsed; a ring that
-    names one element twice, or that is not such an object, is refused,
-    naming `where`."""
+    Canonical names are looked up, other spellings parsed; each coefficient
+    is read by `_coefficient` through `coeffs`.  A ring that names one
+    element twice, that holds a coefficient text export_json does not
+    write, or that is not such an object, is refused, naming `where`."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: a module is not an object")
     by_name = graph._by_name
@@ -514,9 +586,10 @@ def _parse_module(graph, data, where) -> ModuleElt:
     for sym, ring in data.items():
         try:
             try:
-                row = {by_name[wtext]: int(c) for wtext, c in ring.items()}
-            except KeyError:  # a spelling other than the canonical name
-                row = {graph.elt_by_name(wtext): int(c) for wtext, c in ring.items()}
+                row = {by_name[wtext]: coeffs[c] for wtext, c in ring.items()}
+            except (KeyError, TypeError):  # another spelling, or a new text
+                row = {graph.elt_by_name(wtext): _coefficient(c, coeffs)
+                       for wtext, c in ring.items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{where}: a ring of {sym}: {exc.args[0]}") from None
         if len(row) != len(ring):
@@ -651,7 +724,8 @@ def import_json(text: str) -> ResolutionState:
     parsed once.  Refused, with a ValueError that names where: a missing
     or mistyped field, a `levels` key other than str(n) for n >= 3, a bad
     tag, two keys for one h1 arrow or tag, a tree edge or candidate
-    listed twice, a ring that names one element twice, candidate tags
+    listed twice, a ring that names one element twice, a coefficient
+    text export_json does not write (`_coefficient`), candidate tags
     other than G x codomain, an xi that does not cover exactly the
     candidate tags, a level-3 candidate without a crossed form, a kept
     symbol whose stored boundary or crossed form is not its
@@ -713,6 +787,8 @@ def import_json(text: str) -> ResolutionState:
     rel_names = set(pres.relator_names())
     words: dict = {}  # conjugator text -> Word, for this call only
     forms: dict = {}  # crossed-form text -> CrossedElt, for this call only
+    coeffs: dict = {}  # coefficient text -> int, for this call only
+    module = partial(_parse_module, graph, coeffs=coeffs)
 
     def parse_form(ctext, where):
         try:
@@ -748,8 +824,8 @@ def import_json(text: str) -> ResolutionState:
             if n == 3 and cf is None:
                 raise ValueError(f"level 3: candidate {_tag_text(graph, tag)} "
                                  f"has no crossed form")
-            by_tag[tag] = Candidate(tag, _parse_module(
-                graph, _field(c, "form", where), where), cf)
+            by_tag[tag] = Candidate(tag, module(_field(c, "form", where), where),
+                                    cf)
         # the candidates are G x codomain, as the level below gives them
         codomain = _field(entry, "codomain", where, list)
         for tag in by_tag:
@@ -759,8 +835,7 @@ def import_json(text: str) -> ResolutionState:
         if len(by_tag) != graph.order * len(codomain):
             raise ValueError(f"{where}: {len(by_tag)} candidates, not |G| x "
                              f"|codomain| = {graph.order * len(codomain)}")
-        xi = tagged(_field(entry, "xi", where), "xi", where,
-                    partial(_parse_module, graph))
+        xi = tagged(_field(entry, "xi", where), "xi", where, module)
         # verify_state replays xi at every candidate tag, and only there
         odd = sorted(xi.keys() ^ by_tag.keys())
         if odd:
@@ -773,7 +848,7 @@ def import_json(text: str) -> ResolutionState:
         crossed = _field(entry, "crossed", where, dict, {})
         for sym, tag in basis:
             cf = crossed.get(sym)
-            stored = (_parse_module(graph, _field(boundary, sym, where), where),
+            stored = (module(_field(boundary, sym, where), where),
                       cf and parse_form(cf, f"{where}: crossed form of {sym}"))
             cand = by_tag.get(tag)
             if cand is None or stored != (cand.form, cand.crossed_form):

@@ -63,7 +63,12 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inv(self) -> "Word":
-        return Word(tuple((name, -sign) for name, sign in reversed(self.letters)))
+        # the inverse of a freely reduced word is freely reduced, so it is
+        # not reduced again
+        out = object.__new__(Word)
+        object.__setattr__(out, "letters", tuple([(name, -sign) for name, sign
+                                                  in reversed(self.letters)]))
+        return out
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:

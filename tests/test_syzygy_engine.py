@@ -6,7 +6,7 @@ import os
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crossres import (RunConfig, build_state, export_json, import_json,
                       render_tables, syzygy_engine, verify_state, zg_lattice)
@@ -14,13 +14,14 @@ from crossres.crossed import (CrossedElt, ModuleElt, abelianise, apply_map,
                               boundary2, render_crossed, unit)
 from crossres.group_core import Presentation, enumerate_presentation
 from crossres.inputs import FileTag
+from crossres.logged_rewriter import h1_eval
 from crossres.syzygy_engine import (Candidate, ResolutionState,
                                     compute_delta3, extend_resolution,
                                     fox_matrix_map, homotopy_eval,
                                     level3_candidates, next_candidates,
                                     order_candidates, reduce_level)
-from crossres.words import EMPTY, GroupRingElt, parse_word
-from crossres.zg_lattice import OrbitLattice, kernel_lattice
+from crossres.words import EMPTY, GroupRingElt, parse_word, word
+from crossres.zg_lattice import OrbitLattice, TranslateTable, kernel_lattice
 from conftest import data_path, s3_config, scaled
 
 
@@ -431,6 +432,50 @@ class TestVerifyAndSerialize:
         with pytest.raises(ValueError,
                            match=r"level 3: a ring of r names element 1 twice"):
             import_json(json.dumps(doc))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _q8_l4_text():
+        return export_json(build_state(
+            RunConfig(presentation=data_path("q8.pres"), max_level=4)))
+
+    @pytest.mark.parametrize("field", ["xi", "form"])
+    @pytest.mark.parametrize("bad", ["0", "-0", "+1", " 1", "1 ", "01", "1_0",
+                                     "\u0661", "", "-", "1.0", 1, None])
+    def test_import_refuses_a_coefficient_text_export_does_not_write(
+            self, field, bad):
+        """A coefficient reads only as export_json writes it: "-" or
+        nothing, then ASCII digits with no leading zero, not 0.  Every
+        other text or JSON value in an xi value or a candidate form is
+        refused, naming the level, the tag or field, and the symbol."""
+        doc = json.loads(self._q8_l4_text())
+        entry = doc["levels"]["4"]
+        if field == "xi":
+            key = sorted(k for k, m in entry["xi"].items() if m)[0]
+            module, where = entry["xi"][key], rf"level 4: xi key {key!r}: "
+        else:
+            module = next(c["form"] for c in entry["candidates"] if c["form"])
+            where = "level 4: "
+        sym = sorted(module)[0]
+        module[sym][sorted(module[sym])[0]] = bad
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)}a ring of "
+                                             rf"{sym}: coefficient "):
+            import_json(json.dumps(doc))
+
+    def test_import_refuses_an_added_zero_entry(self):
+        """A zero coefficient is refused, not dropped: the text would not
+        export back to the same bytes."""
+        doc = json.loads(self._q8_l4_text())
+        xi = doc["levels"]["4"]["xi"]
+        key = sorted(k for k, m in xi.items() if m)[0]
+        sym = sorted(xi[key])[0]
+        absent = [w for w in doc["group"]["elements"] if w not in xi[key][sym]]
+        xi[key][sym][absent[0]] = "0"
+        with pytest.raises(ValueError, match=rf"level 4: xi key {key!r}: a ring "
+                                             rf"of {sym}: coefficient '0' "):
+            import_json(json.dumps(doc))
+        del xi[key][sym][absent[0]]
+        assert export_json(import_json(json.dumps(doc))) == self._q8_l4_text()
 
     def test_import_rejects_a_candidate_listed_twice(self):
         doc = self._c4_l4_doc()
@@ -1006,6 +1051,90 @@ def test_next_candidates_is_the_unit_minus_the_homotopy(name):
                     graph, level.xi, g, level.boundary[sym]), None)
                 for g in range(graph.order) for sym, _ in level.basis]
         assert next_candidates(state, m) == want, m
+
+
+def _two_reduction_delta3(state, g, rname):
+    """delta3 as h1_eval reduces h1(g, omega_r), then inverted and joined
+    to the relator factor, which reduces it again."""
+    lift = h1_eval(state.h1, g, state.presentation.relator_word(rname))
+    return CrossedElt([(r, -e, u) for r, e, u in reversed(lift.factors)]
+                      + [(rname, 1, state.contraction.sigma_bar(g))])
+
+
+@pytest.mark.parametrize("path", [None] + _REPLAY_STATES,
+                         ids=["s3-L4"] + [os.path.basename(p) for p in _REPLAY_STATES])
+def test_delta3_matches_the_two_reduction_reference(path, s3_state):
+    """compute_delta3 reduces its factor list once; free reduction is
+    confluent, so every (g, r) gives the two-reduction factors."""
+    state = s3_state if path is None else import_json(open(path).read())
+    for g in range(state.graph.order):
+        for rname in state.presentation.relator_names():
+            assert compute_delta3(state, g, rname) \
+                == _two_reduction_delta3(state, g, rname), (g, rname)
+
+
+def _faulty_candidate(data, state, n):
+    """(index, Candidate) of level n with one fault drawn: a form
+    coefficient set to zero or moved by 1, a term on a codomain symbol the
+    form lacks, or (level 3) one factor of the crossed form changed."""
+    level, graph = state.levels[n], state.graph
+    kind = data.draw(st.sampled_from(["coefficient", "symbol"]
+                                     + (["factor"] if n == 3 else [])))
+    if kind == "coefficient":
+        pool = [i for i, c in enumerate(level.candidates) if c.form]
+    elif kind == "symbol":
+        pool = [i for i, c in enumerate(level.candidates)
+                if set(level.codomain) - c.form.coords.keys()]
+    else:
+        pool = [i for i, c in enumerate(level.candidates) if c.crossed_form.factors]
+    assume(pool)
+    i = data.draw(st.sampled_from(pool))
+    cand = level.candidates[i]
+    form, crossed = cand.form, cand.crossed_form
+    if kind == "coefficient":
+        coords = {s: dict(ring.coeffs) for s, ring in form.coords.items()}
+        s, g = data.draw(st.sampled_from(sorted((s, g) for s, row in coords.items()
+                                                for g in row)))
+        change = data.draw(st.sampled_from([None, 1, -1]))
+        coords[s][g] = 0 if change is None else coords[s][g] + change
+        form = ModuleElt({s: GroupRingElt(row) for s, row in coords.items()})
+    elif kind == "symbol":
+        s = data.draw(st.sampled_from(sorted(set(level.codomain) - form.coords.keys())))
+        form = form + unit(s, data.draw(st.integers(0, graph.order - 1)),
+                           data.draw(st.sampled_from([1, -1])))
+    else:
+        factors = list(crossed.factors)
+        j = data.draw(st.integers(0, len(factors) - 1))
+        name, sign, u = factors[j]
+        others = [r for r in level.codomain if r != name]
+        change = data.draw(st.sampled_from(["sign", "conjugator"]
+                                           + (["relator"] if others else [])))
+        if change == "sign":
+            factors[j] = (name, -sign, u)
+        elif change == "conjugator":
+            factors[j] = (name, sign, u * word(data.draw(st.sampled_from(graph.gens))))
+        else:
+            factors[j] = (data.draw(st.sampled_from(others)), sign, u)
+        crossed = CrossedElt(factors)
+    return i, Candidate(cand.tag, form, crossed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_verify_refuses_an_injected_candidate_fault(data):
+    """One fault in a stored candidate of the S3 L4, Q8 L5 or SL(2,3) L5
+    state, drawn by `_faulty_candidate`, breaks a premise of the homotopy
+    proof, and verify_state then gives the rows of the direct-way
+    reference."""
+    name = data.draw(st.sampled_from(["s3-L4", "q8-L5", "sl23-L5"]))
+    state = import_json(_built_text(name))
+    n = data.draw(st.sampled_from(sorted(state.levels)))
+    i, cand = _faulty_candidate(data, state, n)
+    state.levels[n].candidates[i] = cand
+    tables = {m: TranslateTable(state.graph, level.codomain, level.boundary)
+              for m, level in state.levels.items()}
+    assert not syzygy_engine._homotopy_premises(state, tables)
+    assert verify_state(state, samples=2) == _reference_verify(state, samples=2)
 
 
 def test_missing_level_is_a_failed_row():

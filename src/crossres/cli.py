@@ -18,6 +18,7 @@ from .inputs import InputError, parse_order_file, parse_presentation, read_text,
 from .logged_rewriter import DEFAULT_LIMITS, FillLimits, build_h1
 from .syzygy_engine import ResolutionState, export_json, extend_resolution, \
     render_tables, verify_state
+from .words import read_int
 
 
 @dataclass
@@ -93,6 +94,14 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An integer option's value, read by `read_int`."""
+    n = read_int(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return n
+
+
 def main(argv=None) -> int:
     # RunConfig holds every default: an option left out is absent from the
     # parsed namespace, so the dataclass fills it in
@@ -102,7 +111,7 @@ def main(argv=None) -> int:
                     "presentation and extend them to a free crossed "
                     "resolution, in exact integer arithmetic.")
     parser.add_argument("presentation", help="presentation file")
-    parser.add_argument("--max-level", type=int, metavar="N",
+    parser.add_argument("--max-level", type=_count, metavar="N",
                         help=f"compute levels 3..N (default {RunConfig.max_level})")
     parser.add_argument("--tree", metavar="bfs|FILE",
                         help="spanning tree: breadth-first or an edge file")
@@ -110,9 +119,9 @@ def main(argv=None) -> int:
                         help="level-1 homotopy: logged search or a table file")
     parser.add_argument("--order", metavar="declared|support|FILE",
                         help="candidate reduction order")
-    parser.add_argument("--max-depth", type=int, metavar="N",
+    parser.add_argument("--max-depth", type=_count, metavar="N",
                         help="logged-rewriting search depth limit")
-    parser.add_argument("--max-cosets", type=int, metavar="N",
+    parser.add_argument("--max-cosets", type=_count, metavar="N",
                         help="coset enumeration size limit")
     parser.add_argument("--format", choices=("table", "json"))
     parser.add_argument("--verify", action="store_true",

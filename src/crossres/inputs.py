@@ -14,8 +14,13 @@ File formats (`#` starts a comment; blank lines are ignored):
                  `<element-word> <name>` per line) to be reduced first,
                  in the listed order; `[xi N]` sections pin certificate
                  representatives for rejected tags:
-                 `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`.
+                 `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`,
+                 with an optional integer multiplier before each `sym`.
                  Pins are validated by exact replay against the boundary.
+
+Powers, multipliers and level numbers are ASCII decimal integers with an
+optional `-` and no leading zero (`words.read_int`): `x^1_0`, `x^+2`,
+`x^02` and `[level ３]` are refused.
 
 Every reader raises InputError, whose message starts with `path:line:`
 for a fault on one line and with `path:` for a fault of the whole file
@@ -28,7 +33,7 @@ from contextlib import contextmanager
 
 from .crossed import parse_crossed
 from .group_core import CayleyGraph, MaximalTree, Presentation
-from .words import Word, parse_letters, parse_word
+from .words import Word, parse_letters, parse_word, read_int
 
 
 class InputError(ValueError):
@@ -180,11 +185,9 @@ def _parse_pin_terms(text, graph, where):
             i += 1
             continue
         coeff = sign
-        try:
-            coeff = sign * int(tok)
-            i += 1
-        except ValueError:
-            pass
+        n = read_int(tok)
+        if n is not None:
+            coeff, i = sign * n, i + 1
         if i >= len(tokens):
             raise InputError(f"{where}: dangling term in certificate pin")
         sym_tok = tokens[i]
@@ -244,10 +247,9 @@ def parse_order_file(path, graph):
             tokens = line[1:-1].split()
             if len(tokens) != 2 or tokens[0] not in ("level", "xi"):
                 raise InputError(f"{where}: expected `[level N]` or `[xi N]`")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise InputError(f"{where}: bad level number") from None
+            n = read_int(tokens[1])
+            if n is None:
+                raise InputError(f"{where}: bad level number")
             if n < 3:
                 raise InputError(f"{where}: levels start at 3")
             table = explicit if tokens[0] == "level" else overrides

@@ -34,7 +34,7 @@ from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .inputs import _parse_tag
 from .logged_rewriter import H1Table, h1_eval
-from .words import GroupRingElt, Word, fox_derivative, parse_word
+from .words import GroupRingElt, Word, fox_derivative, parse_word, read_int
 from .zg_lattice import IntSpan, Lattice, OrbitLattice, TranslateTable, \
     expand, member_solve
 # unused here; bench/tracing.py looks them up in this module to time them
@@ -103,22 +103,10 @@ def level3_candidates(state: ResolutionState) -> list[Candidate]:
     return _as_candidates(_candidate_sums(state, 3))
 
 
-def homotopy_eval(graph: CayleyGraph, xi, g: int, chain: ModuleElt) -> ModuleElt:
-    """Additive homotopy: h(g, sum c . e_prev . g') = sum c . xi[(g.g'^-1, prev)]."""
-    total: dict[str, dict[int, int]] = {}
-    for prev, ring in chain.coords.items():
-        for gp, c in ring.coeffs.items():
-            entry = xi[(graph.mult(g, graph.inv_elt(gp)), prev)]
-            for sym, r in entry.coords.items():
-                row = total.setdefault(sym, {})
-                for h, d in r.coeffs.items():
-                    row[h] = row.get(h, 0) + c * d
-    return ModuleElt({sym: GroupRingElt(row) for sym, row in total.items()})
-
-
 def next_candidates(state: ResolutionState, m: int) -> list[Candidate]:
     """Level m+1 candidates from level m's basis and retraction log: the
-    form of (g, b) is e_b.g^-1 - homotopy_eval(g, delta b)."""
+    form of (g, b) is e_b.g^-1 - h(g, delta b), h the additive homotopy
+    of level m's xi (see `_candidate_sums`)."""
     return _as_candidates(_candidate_sums(state, m + 1))
 
 
@@ -127,7 +115,8 @@ def _candidate_sums(state: ResolutionState, n: int) -> list:
     order (g ascending, then the relators or the basis below as listed):
     `sums` is its module form as {symbol: {element: coefficient}} with zero
     sums kept, and the crossed form is delta3 at level 3, else None.  Above
-    level 3 the form of (g, b) is e_b.g^-1 - homotopy_eval(g, delta b),
+    level 3 the form of (g, b) is e_b.g^-1 - h(g, delta b), with
+    h(g, sum c . e_prev . g') = sum c . xi[(g.g'^-1, prev)],
     summed into one map from level n-1's xi values, each flattened to
     (symbol, ((element, coefficient), ...)) pairs once per call."""
     graph = state.graph
@@ -454,16 +443,15 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 if lower else f"level {n - 1} is missing")
             dd_ok[n] = dd_ok[n] and ok
         rows += retraction[n]
-        # retr5: translated homotopy lookups resolve to the base entry
-        # (the action-killing rule), sampled
+        # retr5: the homotopy's lookup for h(h.g, e_prev . g), at
+        # (h.g.g^-1, prev), resolves to the base entry (the action-killing
+        # rule), sampled
         if level.candidates:
             for _ in range(samples):
                 h, prev = rng.choice(level.candidates).tag
                 g = rng.randrange(graph.order)
-                moved = homotopy_eval(
-                    graph, level.xi, graph.mult(h, g),
-                    ModuleElt({prev: GroupRingElt({g: 1})}))
-                ok = moved == level.xi[(h, prev)]
+                moved = graph.mult(graph.mult(h, g), graph.inv_elt(g))
+                ok = level.xi[(moved, prev)] == level.xi[(h, prev)]
                 add("retr5", n, _tag_text(graph, (h, prev)), ok,
                     "" if ok else "translated lookup mismatch")
 
@@ -560,16 +548,16 @@ def _element_keys(graph):
 
 def _coefficient(text, coeffs) -> int:
     """The integer a coefficient text stands for, if it is a text
-    export_json writes: "-" or nothing, then ASCII digits with no leading
-    zero, not "0".  Anything else is refused.  `coeffs`, a dict text -> int
-    kept across the calls of one import, checks each distinct text once."""
+    export_json writes: `read_int`'s form, not "0".  Anything else is
+    refused.  `coeffs`, a dict text -> int kept across the calls of one
+    import, checks each distinct text once."""
     c = coeffs.get(text) if type(text) is str else None
     if c is None:
-        digits = text.removeprefix("-") if type(text) is str else ""
-        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+        c = read_int(text) if type(text) is str else None
+        if not c:
             raise ValueError(f"coefficient {text!r} is not a nonzero integer "
                              f"written as export_json writes it")
-        c = coeffs[text] = int(text)
+        coeffs[text] = c
     return c
 
 
@@ -802,8 +790,8 @@ def import_json(text: str) -> ResolutionState:
     state = ResolutionState(pres, graph, tree, contraction, H1Table(contraction, h1))
     levels = {}
     for key, entry in _field(doc, "levels", "state").items():
-        n = int(key) if key.isascii() and key.isdigit() else 0
-        if n < 3 or key != str(n):
+        n = read_int(key)
+        if n is None or n < 3:
             raise ValueError(f"levels: key {key!r} is not a level number n >= 3")
         levels[n] = entry
     for n, entry in sorted(levels.items()):

@@ -8,6 +8,8 @@ indices (the Cayley graph supplies the actual multiplication).
 
 from __future__ import annotations
 
+import re
+
 Letter = tuple[str, int]
 
 # Characters that can never appear in a generator name: word syntax uses
@@ -15,6 +17,15 @@ Letter = tuple[str, int]
 # separates factor conjugators, "#" starts comments, and "1" alone denotes
 # the empty word.
 _FORBIDDEN_CHARS = set('^()-@:=#,')
+
+_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def read_int(text: str) -> int | None:
+    """The integer of `text` if it is `0` or an optional `-` then ASCII
+    digits with no leading zero, else None: the one integer rule of every
+    reader (powers, pin multipliers, level numbers, coefficients, counts)."""
+    return int(text) if _INT.fullmatch(text) else None
 
 
 def validate_generator_name(name: str) -> str:
@@ -70,14 +81,6 @@ class Word:
                                                   in reversed(self.letters)]))
         return out
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = EMPTY
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_empty(self) -> bool:
         return not self.letters
 
@@ -110,8 +113,8 @@ def word(name: str, sign: int = 1) -> Word:
 
 def parse_letters(text: str, generators=None) -> list[Letter]:
     """The letters of caret-power word syntax as written, before free
-    reduction: whitespace-separated tokens like `x`, `x^3`, `x^-1`; the
-    token `1` alone is the empty word."""
+    reduction: whitespace-separated tokens like `x`, `x^3`, `x^-1`, each
+    power read by `read_int`; the token `1` alone is the empty word."""
     tokens = text.split()
     if tokens == ["1"]:
         return []
@@ -119,10 +122,9 @@ def parse_letters(text: str, generators=None) -> list[Letter]:
     for tok in tokens:
         name, sep, power_text = tok.partition("^")
         if sep:
-            try:
-                power = int(power_text)
-            except ValueError:
-                raise ValueError(f"malformed word token {tok!r}") from None
+            power = read_int(power_text)
+            if power is None:
+                raise ValueError(f"malformed word token {tok!r}")
             if power == 0:
                 continue
         else:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -285,6 +286,124 @@ class TestMain:
             outputs.append(proc.stdout)
         first, second = outputs
         assert first and first == second
+
+
+# Texts that are not integers by words.read_int: an underscore, a plus
+# sign, a leading zero, minus zero, an Arabic-Indic and a full-width digit,
+# and nothing (which makes a power the empty power `x^`).
+_NOT_INTS = ["1_0", "+2", "02", "-0", "٢", "３", ""]
+_S3 = [data_path("s3.pres"), "--tree", data_path("s3.tree"),
+       "--h1", data_path("s3.h1")]
+
+
+def _token(t):
+    return f"malformed word token {'x^' + t!r}"
+
+
+def _section(t):
+    return "bad level number" if t else "expected `[level N]` or `[xi N]`"
+
+
+# reader -> (file text with {} for the integer, its line, the CLI arguments
+# with FILE for the file, the refusal's text after `path:line: `)
+_FILE_READERS = {
+    "presentation power": ("gens: x\nrel r = x^{}\n", 2, ["FILE"], _token),
+    "tree element word": ("x^{} x\n", 1, _S3[:1] + ["--tree", "FILE"], _token),
+    "h1 conjugator": ("x x := r^+1@x^{}\n", 1, _S3[:3] + ["--h1", "FILE"],
+                      _token),
+    "order tag element word": ("[level 3]\nx^{} r\n", 2,
+                               _S3 + ["--order", "FILE"], _token),
+    "order level number": ("[level {}]\n", 1, _S3 + ["--order", "FILE"],
+                           _section),
+    "order xi number": ("[xi {}]\n", 1, _S3 + ["--order", "FILE"], _section),
+    "pin multiplier": ("[xi 3]\nx^2 r := {} b3_1 @ 1\n", 2,
+                       _S3 + ["--order", "FILE"],
+                       lambda t: f"expected `@ <element-word>` after {t!r}"),
+    "pin element word": ("[xi 3]\nx^2 r := b3_1 @ x^{}\n", 2,
+                         _S3 + ["--order", "FILE"], _token),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _c4_l4_text():
+    return export_json(build_state(
+        RunConfig(presentation=data_path("c4.pres"), max_level=4)))
+
+
+def _set_relator(doc, t):
+    doc["presentation"]["relators"][0][1] = f"x^{t}"
+    return f"presentation: {_token(t)}"
+
+
+def _set_conjugator(doc, t):
+    doc["h1"]["x^3 x"] = f"r^+1@x^{t}"
+    return f"state: h1 key 'x^3 x': {_token(t)}"
+
+
+def _set_tag(doc, t):
+    xi = doc["levels"]["4"]["xi"]
+    xi[f"x^{t} b3_1"] = xi.pop("x b3_1")
+    return f"level 4: xi key {f'x^{t} b3_1'!r}: {_token(t)}"
+
+
+def _set_level_key(doc, t):
+    doc["levels"][t] = doc["levels"].pop("4")
+    return f"levels: key {t!r} is not a level number n >= 3"
+
+
+def _set_coefficient(doc, t):
+    doc["levels"]["4"]["xi"]["x b3_1"]["b4_1"]["1"] = t
+    return (f"level 4: xi key 'x b3_1': a ring of b4_1: coefficient {t!r} "
+            f"is not a nonzero integer written as export_json writes it")
+
+
+# reader -> edit of a C4 L4 state.json document that puts the integer in,
+# returning import_json's refusal
+_STATE_READERS = {
+    "state relator": _set_relator,
+    "state conjugator": _set_conjugator,
+    "state tag element word": _set_tag,
+    "state levels key": _set_level_key,
+    "state coefficient": _set_coefficient,
+}
+_OPTIONS = ["--max-level", "--max-depth", "--max-cosets"]
+
+
+@pytest.mark.parametrize("reader, text", [
+    (reader, t)
+    for reader in [*_FILE_READERS, *_STATE_READERS, *_OPTIONS]
+    for t in _NOT_INTS
+    # an empty multiplier is no multiplier: `b3_1 @ 1` is a pin
+    if (reader, t) != ("pin multiplier", "")])
+def test_every_reader_refuses_what_is_not_an_integer(tmp_path, capsys, reader,
+                                                     text):
+    """Every integer the program reads, in a word's power, a pin, a section
+    header, a state.json key or coefficient, or a CLI count, is read by
+    one rule, and each text outside it is refused naming its `path:line`,
+    its place in state.json or its option."""
+    if reader in _STATE_READERS:
+        doc = json.loads(_c4_l4_text())
+        want = _STATE_READERS[reader](doc, text)
+        with pytest.raises(ValueError) as err:
+            import_json(json.dumps(doc))
+        assert str(err.value) == want
+        return
+    if reader in _OPTIONS:
+        args = [data_path("c4.pres"), reader, text]
+        want = (f"crossres: error: argument {reader}: {text!r} is not a "
+                f"decimal integer")
+    else:
+        template, line, args, message = _FILE_READERS[reader]
+        path = tmp_path / "input"
+        path.write_text(template.format(text))
+        args = [str(path) if a == "FILE" else a for a in args]
+        want = f"error: {path}:{line}: {message(text)}"
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's refusal
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == want
 
 
 def test_package_root_exports_the_documented_api():

@@ -11,7 +11,7 @@ from conftest import assert_input_errors, data_path
 
 
 def cyclic(r):
-    return Presentation(["x"], [("r", word("x") ** r)])
+    return Presentation(["x"], [("r", parse_word(f"x^{r}"))])
 
 
 class TestPresentation:
@@ -26,7 +26,7 @@ class TestPresentation:
         with pytest.raises(PresentationError):
             Presentation(["x", "x"], [("r", word("x"))])
         with pytest.raises(PresentationError):
-            Presentation(["x"], [("r", word("x")), ("r", word("x") ** 2)])
+            Presentation(["x"], [("r", word("x")), ("r", parse_word("x^2"))])
         with pytest.raises(PresentationError):
             Presentation(["x"], [("r", parse_word("1"))])
         with pytest.raises(PresentationError):

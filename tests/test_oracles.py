@@ -6,13 +6,13 @@ from crossres.group_core import Presentation, enumerate_presentation
 from crossres.oracles import (BarResolution, bar_check_boundaries,
                               bar_check_homotopy, cyclic_resolution,
                               cyclic_ring)
-from crossres.words import word
+from crossres.words import parse_word
 
 
 @pytest.fixture(scope="module")
 def c4_bar():
     graph = enumerate_presentation(
-        Presentation(["x"], [("r", word("x") ** 4)]))
+        Presentation(["x"], [("r", parse_word("x^4"))]))
     return BarResolution(graph)
 
 
@@ -86,7 +86,7 @@ class TestBarChecks:
 class TestCyclicOracle:
     def test_ring_pattern(self):
         graph = enumerate_presentation(
-            Presentation(["x"], [("r", word("x") ** 5)]))
+            Presentation(["x"], [("r", parse_word("x^5"))]))
         assert dict(cyclic_ring(graph, 3).items()) == {0: -1, 1: 1}
         assert dict(cyclic_ring(graph, 5).items()) == {0: -1, 1: 1}
         assert dict(cyclic_ring(graph, 4).items()) \

@@ -17,12 +17,26 @@ from crossres.inputs import FileTag
 from crossres.logged_rewriter import h1_eval
 from crossres.syzygy_engine import (Candidate, ResolutionState,
                                     compute_delta3, extend_resolution,
-                                    fox_matrix_map, homotopy_eval,
-                                    level3_candidates, next_candidates,
-                                    order_candidates, reduce_level)
+                                    fox_matrix_map, level3_candidates,
+                                    next_candidates, order_candidates,
+                                    reduce_level)
 from crossres.words import EMPTY, GroupRingElt, parse_word, word
 from crossres.zg_lattice import OrbitLattice, TranslateTable, kernel_lattice
 from conftest import data_path, s3_config, scaled
+
+
+def homotopy_eval(graph, xi, g: int, chain: ModuleElt) -> ModuleElt:
+    """Reference additive homotopy, one term at a time:
+    h(g, sum c . e_prev . g') = sum c . xi[(g.g'^-1, prev)]."""
+    total: dict[str, dict[int, int]] = {}
+    for prev, ring in chain.coords.items():
+        for gp, c in ring.coeffs.items():
+            entry = xi[(graph.mult(g, graph.inv_elt(gp)), prev)]
+            for sym, r in entry.coords.items():
+                row = total.setdefault(sym, {})
+                for h, d in r.coeffs.items():
+                    row[h] = row.get(h, 0) + c * d
+    return ModuleElt({sym: GroupRingElt(row) for sym, row in total.items()})
 
 
 def fresh_state(**kw):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crossres.words import (EMPTY, GroupRingElt, ZERO_ZG, fox_derivative,
-                            parse_word, reduce, validate_generator_name, word)
+from crossres.words import (EMPTY, GroupRingElt, Word, ZERO_ZG, fox_derivative,
+                            parse_word, read_int, reduce,
+                            validate_generator_name, word)
 from conftest import scaled
 
 letters = st.sampled_from([("x", 1), ("x", -1), ("y", 1), ("y", -1)])
@@ -15,8 +16,6 @@ def test_word_basics():
     assert len(w) == 6
     assert w.render() == "x^3 y^-2 x"
     assert w.inv().render() == "x^-1 y^2 x^-3"
-    assert (word("x") ** 2).render() == "x^2"
-    assert (word("x") ** 0) == EMPTY
     assert EMPTY.render() == "1"
     assert EMPTY.is_empty()
 
@@ -45,6 +44,27 @@ def test_parse_word_grammar():
         parse_word("z", {"x", "y"})
     # round trip through render
     w = parse_word("x^2 y^-1 x")
+    assert parse_word(w.render()) == w
+
+
+def test_read_int():
+    assert [read_int(t) for t in ("0", "7", "-2", "10", "-305")] \
+        == [0, 7, -2, 10, -305]
+    for bad in ("", "-", "+2", "02", "-0", "00", "1_0", " 1", "1 ", "1\n",
+                "1.0", "x", "\u0662", "\uff13", "-\u0663"):
+        assert read_int(bad) is None, bad
+
+
+@given(st.integers())
+def test_read_int_reads_what_str_writes(n):
+    assert read_int(str(n)) == n
+
+
+@given(st.lists(st.tuples(st.sampled_from(["x", "y", "gen_2"]),
+                          st.integers(-40, 40)), max_size=8))
+def test_parse_word_reads_what_render_writes(powers):
+    w = Word([(name, 1 if p > 0 else -1) for name, p in powers
+              for _ in range(abs(p))])
     assert parse_word(w.render()) == w
 
 

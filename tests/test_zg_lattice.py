@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from crossres.crossed import ModuleElt, apply_map, unit
 from crossres.group_core import Presentation, enumerate_presentation
 from crossres.syzygy_engine import fox_matrix_map
-from crossres.words import GroupRingElt, word
+from crossres.words import GroupRingElt, parse_word
 from crossres.zg_lattice import (IntSpan, Lattice, OrbitLattice,
                                  TranslateTable, _greedy_certificate,
                                  _hnf_in_place, _reduce, expand,
@@ -337,7 +337,7 @@ def test_kernel_lattice_fox(s3_graph, s3_presentation):
 
 
 def test_kernel_lattice_cyclic():
-    pres = Presentation(["x"], [("r", word("x") ** 4)])
+    pres = Presentation(["x"], [("r", parse_word("x^4"))])
     graph = enumerate_presentation(pres)
     fox = fox_matrix_map(pres, graph)
     kern = kernel_lattice(graph, ["r"], ["x"], fox)
@@ -347,11 +347,11 @@ def test_kernel_lattice_cyclic():
 
 
 _S3 = enumerate_presentation(Presentation(
-    ["x", "y"], [("r", word("x") ** 3), ("s", word("y") ** 2),
-                 ("t", (word("x") * word("y")) ** 2)]))
+    ["x", "y"], [("r", parse_word("x^3")), ("s", parse_word("y^2")),
+                 ("t", parse_word("x y x y"))]))
 _Q8 = enumerate_presentation(Presentation(
-    ["x", "y"], [("r", word("x") ** 4), ("s", word("x") ** 2 * word("y") ** -2),
-                 ("t", word("x") * word("y") * word("x") * word("y") ** -1)]))
+    ["x", "y"], [("r", parse_word("x^4")), ("s", parse_word("x^2 y^-2")),
+                 ("t", parse_word("x y x y^-1"))]))
 
 
 def _module_over(symbols, order):

@@ -42,10 +42,8 @@ def build_state(config: RunConfig) -> ResolutionState:
     graph = enumerate_presentation(pres, config.max_cosets)
     tree = (bfs_tree(graph) if config.tree == "bfs"
             else tree_from_file(config.tree, graph))
-    contraction = Contraction0(graph, tree)
     limits = FillLimits(max_depth=config.max_depth)
-    h1 = build_h1(contraction, config.h1, limits)
-    state = ResolutionState(pres, graph, tree, contraction, h1)
+    state = ResolutionState(build_h1(Contraction0(graph, tree), config.h1, limits))
     policy, explicit, overrides = "declared", None, None
     if config.order == "support":
         policy = "support"

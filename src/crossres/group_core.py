@@ -312,19 +312,13 @@ class MaximalTree:
 
 
 def bfs_tree(graph: CayleyGraph) -> MaximalTree:
-    """Deterministic spanning tree: breadth-first from the identity along
-    forward arrows, generators in declaration order (shortlex)."""
-    seen = [False] * graph.order
-    seen[0] = True
-    queue = [0]
+    """Deterministic spanning tree: the arrow by which the Cayley graph's
+    breadth-first search first reached each element h, the one that reads
+    word_rep[h]'s last letter (shortlex, generators in declaration order)."""
     edges = []
-    for g in queue:
-        for k in range(len(graph.gens)):
-            h = graph.fwd[g][k]
-            if not seen[h]:
-                seen[h] = True
-                edges.append((g, k))
-                queue.append(h)
+    for h in range(1, graph.order):
+        k = graph.gen_index(graph.word_rep[h].letters[-1][0])
+        edges.append((graph.bwd[h][k], k))
     return MaximalTree(graph, edges)
 
 
@@ -352,8 +346,6 @@ class Contraction0:
                 if sigma[other] is None:
                     sigma[other] = sigma[v] * word(graph.gens[k], sign)
                     queue.append(other)
-        if any(s is None for s in sigma):
-            raise TreeError("tree does not span the Cayley graph")
         self.graph = graph
         self.tree = tree
         self.sigma = sigma

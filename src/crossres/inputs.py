@@ -20,7 +20,8 @@ File formats (`#` starts a comment; blank lines are ignored):
 
 Powers, multipliers and level numbers are ASCII decimal integers with an
 optional `-` and no leading zero (`words.read_int`): `x^1_0`, `x^+2`,
-`x^02` and `[level ３]` are refused.
+`x^02` and `[level ３]` are refused.  A zero power still names a
+generator: `x^0` is the empty word, `z^0` with no generator `z` is refused.
 
 Every reader raises InputError, whose message starts with `path:line:`
 for a fault on one line and with `path:` for a fault of the whole file

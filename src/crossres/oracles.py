@@ -335,10 +335,7 @@ def cyclic_resolution(r: int, n_max: int) -> ResolutionState:
         raise ValueError("n_max must be at least 2")
     pres = Presentation(("x",), (("r", Word((("x", 1),) * r)),))
     graph = enumerate_presentation(pres)
-    tree = bfs_tree(graph)
-    contraction = Contraction0(graph, tree)
-    state = ResolutionState(pres, graph, tree, contraction,
-                            build_h1(contraction))
+    state = ResolutionState(build_h1(Contraction0(graph, bfs_tree(graph))))
     for n in range(3, n_max + 1):
         _add_cyclic_level(state, n)
     return state

@@ -79,14 +79,18 @@ class Level:
 
 
 class ResolutionState:
+    """The levels built on one base, read from h1's chain: h1 holds its
+    0-combing, which holds the tree and the Cayley graph, which holds the
+    presentation."""
+
     __slots__ = ("presentation", "graph", "tree", "contraction", "h1", "levels")
 
-    def __init__(self, presentation, graph, tree, contraction, h1):
-        self.presentation: Presentation = presentation
-        self.graph: CayleyGraph = graph
-        self.tree: MaximalTree = tree
-        self.contraction: Contraction0 = contraction
-        self.h1: H1Table = h1
+    def __init__(self, h1: H1Table):
+        self.h1 = h1
+        self.contraction: Contraction0 = h1.contraction
+        self.tree: MaximalTree = self.contraction.tree
+        self.graph: CayleyGraph = self.contraction.graph
+        self.presentation: Presentation = self.graph.presentation
         self.levels: dict[int, Level] = {}
 
 
@@ -710,15 +714,16 @@ def import_json(text: str) -> ResolutionState:
     <name>` key or an [element, name] pair, is read by `inputs._parse_tag`,
     the tag grammar of the input files; each distinct crossed-form text is
     parsed once.  Refused, with a ValueError that names where: a missing
-    or mistyped field, a `levels` key other than str(n) for n >= 3, a bad
-    tag, two keys for one h1 arrow or tag, a tree edge or candidate
-    listed twice, a ring that names one element twice, a coefficient
-    text export_json does not write (`_coefficient`), candidate tags
-    other than G x codomain, an xi that does not cover exactly the
-    candidate tags, a level-3 candidate without a crossed form, a kept
-    symbol whose stored boundary or crossed form is not its
-    candidate's, and (by H1Table) an h1 entry on a tree arrow.  A key
-    written twice in one JSON object is not seen: json.loads keeps the last."""
+    or mistyped field, a `levels` key other than str(n) for n >= 3, a
+    group order other than str(|G|), a bad tag, two keys for one h1 arrow
+    or tag, a tree edge or candidate listed twice, a ring that names one
+    element twice, a coefficient text export_json does not write
+    (`_coefficient`), candidate tags other than G x codomain, an xi that
+    does not cover exactly the candidate tags, a level-3 candidate without
+    a crossed form, a kept symbol whose stored boundary or crossed form is
+    not its candidate's, and (by H1Table) an h1 entry on a tree arrow.  A
+    key written twice in one JSON object is not seen: json.loads keeps the
+    last."""
     doc = json.loads(text)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
@@ -732,8 +737,13 @@ def import_json(text: str) -> ResolutionState:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"presentation: {exc}") from None
     graph = enumerate_presentation(pres)
+    group = _field(doc, "group", "state")
+    order = _field(group, "order", "group", str)
+    if read_int(order) != graph.order:
+        raise ValueError(f"group: order {order!r} is not the order "
+                         f"{graph.order} of the presentation's group")
     if ([graph.elt_name(g) for g in range(graph.order)]
-            != _field(_field(doc, "group", "state"), "elements", "group", list)):
+            != _field(group, "elements", "group", list)):
         raise ValueError("element enumeration mismatch on import")
 
     tags: dict = {}  # (tag text, last) -> tag, for this call only
@@ -770,8 +780,7 @@ def import_json(text: str) -> ResolutionState:
              for edge in _field(doc, "tree", "state", list)]
     if len(set(edges)) != len(edges):
         raise ValueError("tree: an edge is listed twice")
-    tree = MaximalTree(graph, edges)
-    contraction = Contraction0(graph, tree)
+    contraction = Contraction0(graph, MaximalTree(graph, edges))
     rel_names = set(pres.relator_names())
     words: dict = {}  # conjugator text -> Word, for this call only
     forms: dict = {}  # crossed-form text -> CrossedElt, for this call only
@@ -787,7 +796,7 @@ def import_json(text: str) -> ResolutionState:
         return forms[ctext]
 
     h1 = tagged(_field(doc, "h1", "state"), "h1", "state", parse_form, "generator")
-    state = ResolutionState(pres, graph, tree, contraction, H1Table(contraction, h1))
+    state = ResolutionState(H1Table(contraction, h1))
     levels = {}
     for key, entry in _field(doc, "levels", "state").items():
         n = read_int(key)

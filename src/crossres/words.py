@@ -114,7 +114,8 @@ def word(name: str, sign: int = 1) -> Word:
 def parse_letters(text: str, generators=None) -> list[Letter]:
     """The letters of caret-power word syntax as written, before free
     reduction: whitespace-separated tokens like `x`, `x^3`, `x^-1`, each
-    power read by `read_int`; the token `1` alone is the empty word."""
+    power read by `read_int` (a zero power still names a generator); the
+    token `1` alone is the empty word."""
     tokens = text.split()
     if tokens == ["1"]:
         return []
@@ -125,8 +126,6 @@ def parse_letters(text: str, generators=None) -> list[Letter]:
             power = read_int(power_text)
             if power is None:
                 raise ValueError(f"malformed word token {tok!r}")
-            if power == 0:
-                continue
         else:
             power = 1
         if not name or name == "1":

@@ -134,7 +134,7 @@ def cyclic_presentation(r):
 def auto_state(pres, max_level):
     graph = enumerate_presentation(pres)
     con = Contraction0(graph, bfs_tree(graph))
-    state = ResolutionState(pres, graph, con.tree, con, build_h1(con, "search"))
+    state = ResolutionState(build_h1(con, "search"))
     return extend_resolution(state, max_level)
 
 
@@ -203,8 +203,7 @@ def test_criterion_04_certificates(s3_state):
         assert xi == cert_module(graph, terms), tag
 
     # informative: how many certificates the unpinned solver reproduces
-    unpinned = ResolutionState(s3_state.presentation, graph, s3_state.tree,
-                               s3_state.contraction, s3_state.h1)
+    unpinned = ResolutionState(s3_state.h1)
     explicit = [(graph.elt_by_name(g), r) for g, r, _ in IDENTITY_TABLE]
     cands = order_candidates(level3_candidates(unpinned), explicit=explicit)
     lvl = reduce_level(unpinned, 3, cands)
@@ -260,8 +259,7 @@ def test_criterion_05_level4_tables(s3_state):
     overrides = {3: {(graph.elt_by_name(g), r): [(c, s, parse_word(w))
                                                  for c, s, w in terms]
                      for (g, r), terms in variant.items()}}
-    alt = ResolutionState(s3_state.presentation, graph, s3_state.tree,
-                          s3_state.contraction, s3_state.h1)
+    alt = ResolutionState(s3_state.h1)
     explicit3 = [(graph.elt_by_name(g), r) for g, r, _ in IDENTITY_TABLE]
     explicit4 = [(graph.elt_by_name(g), b) for g, b in LEVEL4_KEPT]
     extend_resolution(alt, 4, explicit={3: explicit3, 4: explicit4},

@@ -36,6 +36,8 @@ class TestParsePresentation:
         ("gens: x\nrel r x\n", 2, "expected `rel <name> = <word>`"),
         ("gens: x\nrel r extra = x\n", 2, "expected `rel <name> = <word>`"),
         ("gens: x\nrel r = x^\n", 2, "malformed word token"),
+        ("gens: x\nrel r = x ^2\n", 2, "malformed word token '^2'"),
+        ("gens: x\nrel r = x 1^2\n", 2, "malformed word token '1^2'"),
         ("gens: x\nrel r = y\n", 2, "unknown generator"),
         ("gens: x\nrel r = 1\n", 2, "is empty"),
         ("gens: x\nrel r = x^0\n", 2, "is empty"),
@@ -87,6 +89,7 @@ class TestParseOrderFile:
         ("[xi 3]\nx r := \n", "empty certificate pin"),
         ("[xi 3]\nx r := b3_1\n", "expected `@ <element-word>`"),
         ("[xi 3]\nx r := b3_1 @\n", "missing element word"),
+        ("[xi 3]\nx r := @x\n", "missing symbol"),
         ("[xi 3]\nx r := +\n", "empty certificate pin"),
         ("[xi 3]\nx r := 2\n", "dangling term"),
         ("[xi 3]\nx r := b3_1 @ x\nx r := b3_1 @ x\n", "duplicate certificate"),
@@ -346,6 +349,11 @@ def _set_tag(doc, t):
     return f"level 4: xi key {f'x^{t} b3_1'!r}: {_token(t)}"
 
 
+def _set_order(doc, t):
+    doc["group"]["order"] = t
+    return f"group: order {t!r} is not the order 4 of the presentation's group"
+
+
 def _set_level_key(doc, t):
     doc["levels"][t] = doc["levels"].pop("4")
     return f"levels: key {t!r} is not a level number n >= 3"
@@ -363,6 +371,7 @@ _STATE_READERS = {
     "state relator": _set_relator,
     "state conjugator": _set_conjugator,
     "state tag element word": _set_tag,
+    "state group order": _set_order,
     "state levels key": _set_level_key,
     "state coefficient": _set_coefficient,
 }
@@ -378,9 +387,9 @@ _OPTIONS = ["--max-level", "--max-depth", "--max-cosets"]
 def test_every_reader_refuses_what_is_not_an_integer(tmp_path, capsys, reader,
                                                      text):
     """Every integer the program reads, in a word's power, a pin, a section
-    header, a state.json key or coefficient, or a CLI count, is read by
-    one rule, and each text outside it is refused naming its `path:line`,
-    its place in state.json or its option."""
+    header, a state.json group order, key or coefficient, or a CLI count,
+    is read by one rule, and each text outside it is refused naming its
+    `path:line`, its place in state.json or its option."""
     if reader in _STATE_READERS:
         doc = json.loads(_c4_l4_text())
         want = _STATE_READERS[reader](doc, text)

@@ -1,3 +1,6 @@
+import glob
+import os
+
 import pytest
 
 from crossres.group_core import (CayleyGraph, Contraction0,
@@ -5,7 +8,7 @@ from crossres.group_core import (CayleyGraph, Contraction0,
                                  PresentationError, TableError, TreeError,
                                  _validate_graph, bfs_tree,
                                  enumerate_presentation, render_zg)
-from crossres.inputs import parse_presentation, tree_from_file
+from crossres.inputs import parse_presentation, read_text, tree_from_file
 from crossres.words import GroupRingElt, parse_word, word
 from conftest import assert_input_errors, data_path
 
@@ -136,10 +139,41 @@ class TestValidateGraph:
             _validate_graph(CayleyGraph(s3_presentation, [[1, 0], [2, 2], [0, 1]]))
 
 
+def _reference_bfs_edges(graph):
+    """The breadth-first tree found by a second search: from the identity
+    along forward arrows, generators in declaration order."""
+    seen = [False] * graph.order
+    seen[0] = True
+    queue = [0]
+    edges = []
+    for g in queue:
+        for k in range(len(graph.gens)):
+            h = graph.fwd[g][k]
+            if not seen[h]:
+                seen[h] = True
+                edges.append((g, k))
+                queue.append(h)
+    return frozenset(edges)
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PRESENTATIONS = sorted(glob.glob(os.path.join(_ROOT, "tests", "data", "*.pres"))
+                        + glob.glob(os.path.join(_ROOT, "bench", "data", "pres",
+                                                 "*.pres")))
+
+
 class TestTrees:
     def test_bfs_tree(self, s3_graph):
         tree = bfs_tree(s3_graph)
         assert len(tree.edges) == s3_graph.order - 1
+
+    @pytest.mark.parametrize("path", _PRESENTATIONS,
+                             ids=lambda p: os.path.relpath(p, _ROOT))
+    def test_bfs_tree_is_the_reference_search(self, path):
+        """bfs_tree reads the arrows the Cayley graph's own search took,
+        which are the arrows a second breadth-first search takes."""
+        graph = enumerate_presentation(parse_presentation(read_text(path), path))
+        assert bfs_tree(graph).edges == _reference_bfs_edges(graph)
 
     def test_tree_from_file(self, s3_graph):
         tree = tree_from_file(data_path("s3.tree"), s3_graph)

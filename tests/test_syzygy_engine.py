@@ -127,9 +127,7 @@ class TestReduction:
 
     def test_bogus_pin_rejected(self, s3_state):
         cands = order_candidates(level3_candidates(s3_state))
-        scratch = ResolutionState(s3_state.presentation, s3_state.graph,
-                                  s3_state.tree, s3_state.contraction,
-                                  s3_state.h1)
+        scratch = ResolutionState(s3_state.h1)
         # in declared order (x, r) is accepted, so (x^2, r) is rejected
         bad = {(2, "r"): [(1, "b3_1", parse_word("1"))]}
         with pytest.raises(ValueError, match="replay"):
@@ -137,9 +135,7 @@ class TestReduction:
 
     def test_pin_for_accepted_tag_rejected(self, s3_state):
         cands = order_candidates(level3_candidates(s3_state))
-        scratch = ResolutionState(s3_state.presentation, s3_state.graph,
-                                  s3_state.tree, s3_state.contraction,
-                                  s3_state.h1)
+        scratch = ResolutionState(s3_state.h1)
         # (x, r) is the first nonzero candidate in declared order
         bad = {(1, "r"): [(1, "b3_1", parse_word("1"))]}
         with pytest.raises(ValueError, match="not rejected"):
@@ -147,9 +143,7 @@ class TestReduction:
 
     def test_pin_for_unknown_tag_rejected(self, s3_state):
         cands = order_candidates(level3_candidates(s3_state))
-        scratch = ResolutionState(s3_state.presentation, s3_state.graph,
-                                  s3_state.tree, s3_state.contraction,
-                                  s3_state.h1)
+        scratch = ResolutionState(s3_state.h1)
         bad = {(0, "nope"): [(1, "b3_1", parse_word("1"))]}
         with pytest.raises(ValueError, match="not rejected"):
             reduce_level(scratch, 3, cands, bad)
@@ -573,19 +567,33 @@ class TestVerifyAndSerialize:
                                              r"unknown generator 'z'"):
             import_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("xi", None, "field 'xi' is missing"),
-        ("basis", {}, "field 'basis' is missing or not a list"),
-        ("candidates", [{"form": {}}], "field 'tag' is missing"),
-    ])
-    def test_import_rejects_a_missing_or_mistyped_field(self, s3_state, field,
+    @pytest.mark.parametrize("path, value, message", [
+        (["levels", "3", "xi"], None, "level 3: field 'xi' is missing"),
+        (["levels", "3", "basis"], {},
+         "level 3: field 'basis' is missing or not a list"),
+        (["levels", "3", "candidates"], [{"form": {}}],
+         "level 3: field 'tag' is missing"),
+        (["levels", "3", "xi", "1 r"], [],
+         "level 3: xi key '1 r': a module is not an object"),
+        # the last of the five edges is written as a copy of the first
+        (["tree", 4], ["1", "x"], "tree: an edge is listed twice"),
+        (["group", "order"], "07", "group: order '07' is not the order 6"),
+        (["group", "order"], "5", "group: order '5' is not the order 6"),
+        (["group", "order"], 6, "group: field 'order' is missing or not a str"),
+    ], ids=["no-xi", "basis-object", "tag-missing", "xi-value-list",
+            "tree-edge-twice", "order-07", "order-5", "order-number"])
+    def test_import_rejects_a_missing_or_mistyped_field(self, s3_state, path,
                                                         value, message):
+        """The value at `path` in the S3 fixture's document deleted (None)
+        or replaced is refused, naming where."""
         doc = json.loads(export_json(s3_state))
+        *parents, last = path
+        parent = functools.reduce(lambda obj, key: obj[key], parents, doc)
         if value is None:
-            del doc["levels"]["3"][field]
+            del parent[last]
         else:
-            doc["levels"]["3"][field] = value
-        with pytest.raises(ValueError, match=f"level 3: {message}"):
+            parent[last] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             import_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["03", " 4", "x", "2"],
@@ -914,6 +922,15 @@ def _extra_generator(level):
     level.boundary["bogus"] = unit(level.codomain[0])
 
 
+def _drop_rejected(level):
+    # the last rejected candidate and its xi entry go, so one tag of
+    # G x codomain has neither, and import_json would refuse the text
+    kept = {tag for _, tag in level.basis}
+    cand = [c for c in level.candidates if c.tag not in kept][-1]
+    level.candidates.remove(cand)
+    del level.xi[cand.tag]
+
+
 def _change_crossed(level):
     # a commutator of two relators keeps the abelianisation, not the
     # boundary
@@ -1010,7 +1027,8 @@ def test_verify_falls_back_to_the_direct_checks_on_faulty_states(
     """Each fault breaks one premise of verify_state's homotopy proof: a
     changed xi entry, a candidate form changed with its certificate, an
     xi value on a symbol outside the basis, an extra kept symbol (at every
-    level), a level-3 crossed form changed, an h1 entry replaced by one
+    level), a level-3 crossed form changed, a rejected level-4 candidate
+    dropped with its xi entry, an h1 entry replaced by one
     with the same boundary, and one deleted or given a wrong boundary
     with level 3 alone rebuilt on the result.  Then the direct checks run
     (a Lattice is built), and the rows are those of the direct-way
@@ -1020,8 +1038,9 @@ def test_verify_falls_back_to_the_direct_checks_on_faulty_states(
     cases = [(n, fault) for n in range(3, top + 1)
              for fault in (_change_xi, _change_form, _foreign_xi_symbol,
                            _extra_generator)]
-    cases += [(3, _change_crossed), (None, _replace_h1_entry),
-              (None, _drop_h1_entry), (None, _wrong_h1_entry)]
+    cases += [(3, _change_crossed), (4, _drop_rejected),
+              (None, _replace_h1_entry), (None, _drop_h1_entry),
+              (None, _wrong_h1_entry)]
     built = []
     init = zg_lattice.Lattice.__init__
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +44,14 @@ def test_parse_word_grammar():
         parse_word("x^one")
     with pytest.raises(ValueError):
         parse_word("z", {"x", "y"})
+    # a zero power still names a generator, and a token still needs one
+    with pytest.raises(ValueError,
+                       match=re.escape("unknown generator 'z' in word 'z^0'")):
+        parse_word("z^0", {"x"})
+    for tok in ("^0", "1^0"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"malformed word token '{tok}'")):
+            parse_word(f"x {tok}", {"x"})
     # round trip through render
     w = parse_word("x^2 y^-1 x")
     assert parse_word(w.render()) == w

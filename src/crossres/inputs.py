@@ -14,8 +14,9 @@ File formats (`#` starts a comment; blank lines are ignored):
                  `<element-word> <name>` per line) to be reduced first,
                  in the listed order; `[xi N]` sections pin certificate
                  representatives for rejected tags:
-                 `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`,
-                 with an optional integer multiplier before each `sym`.
+                 `<element-word> <name> := [-] sym @ <element-word> [+/- ...]`:
+                 standalone `+`/`-` tokens separate the terms, and an
+                 optional integer multiplier must be followed by a `sym`.
                  Pins are validated by exact replay against the boundary.
 
 Powers, multipliers and level numbers are ASCII decimal integers with an
@@ -31,6 +32,7 @@ for a fault on one line and with `path:` for a fault of the whole file
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import groupby
 
 from .crossed import parse_crossed
 from .group_core import CayleyGraph, MaximalTree, Presentation
@@ -173,50 +175,31 @@ def h1_entries(path, contraction) -> dict:
 
 
 def _parse_pin_terms(text, graph, where):
-    """`[-] sym @ <element-word> [+/- sym @ <element-word> ...]`, with an
-    optional integer multiplier before each symbol."""
-    tokens = text.split()
-    terms = []
-    i = 0
-    sign = 1
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("+", "-"):
-            sign = 1 if tok == "+" else -1
-            i += 1
+    """A pin's [(coefficient, symbol, element word)], term by term."""
+    terms, coeff = [], 1
+    # groupby alternates sign runs and term runs; a run's last sign counts
+    for is_sign, run in groupby(text.split(), lambda tok: tok in ("+", "-")):
+        run = list(run)
+        if is_sign:
+            coeff = -1 if run[-1] == "-" else 1
             continue
-        coeff = sign
-        n = read_int(tok)
+        n = read_int(run[0])
         if n is not None:
-            coeff, i = sign * n, i + 1
-        if i >= len(tokens):
+            coeff, run = coeff * n, run[1:]
+        if not run:
             raise InputError(f"{where}: dangling term in certificate pin")
-        sym_tok = tokens[i]
-        i += 1
-        if "@" in sym_tok:
-            sym, _, word_start = sym_tok.partition("@")
-        else:
-            sym, word_start = sym_tok, ""
-            if i < len(tokens) and tokens[i].startswith("@"):
-                word_start = tokens[i][1:]
-                i += 1
-            else:
-                raise InputError(
-                    f"{where}: expected `@ <element-word>` after {sym!r}")
+        head, at, word = " ".join(run).partition("@")
+        sym, word = head.split(), " ".join(word.split())
         if not sym:
             raise InputError(f"{where}: missing symbol in certificate pin")
-        word_tokens = [word_start] if word_start else []
-        while i < len(tokens) and tokens[i] not in ("+", "-"):
-            word_tokens.append(tokens[i])
-            i += 1
-        if not word_tokens:
-            raise InputError(f"{where}: missing element word after {sym!r}")
+        if not at or len(sym) > 1:
+            raise InputError(f"{where}: expected `@ <element-word>` after {sym[0]!r}")
+        if not word:
+            raise InputError(f"{where}: missing element word after {sym[0]!r}")
         try:
-            w = parse_word(" ".join(word_tokens), graph.gens)
+            terms.append((coeff, sym[0], parse_word(word, graph.gens)))
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-        terms.append((coeff, sym, w))
-        sign = 1
     if not terms:
         raise InputError(f"{where}: empty certificate pin")
     return terms

@@ -156,13 +156,9 @@ def _rotation_automaton(table):
             reach = max(reach, *grow[1:])
     # Breadth first, so that a node's failure node (the node of its
     # longest proper suffix) is complete, transitions and count, before
-    # the node is reached.
-    queue = deque()
-    for c in alphabet:
-        if c in root:
-            queue.append((root[c], root))
-        else:
-            root[c] = root
+    # the node is reached.  Each letter of a rotation starts another
+    # rotation, so every letter of the alphabet is a child of the root.
+    queue = deque((root[c], root) for c in alphabet)
     while queue:
         node, fail = queue.popleft()
         node[0] += fail[0]

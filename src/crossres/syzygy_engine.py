@@ -372,10 +372,11 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     level 3), and that its boundaries use no other symbol; `detail` names
     the first condition that failed.
 
-    Each map is one TranslateTable (delta_2 is the Fox matrix).  `dd` rows
-    push a level's boundaries through the table below, retraction rows
-    push each xi through the level's own table against its candidate form,
-    and the exactness lattices take their rows from the tables."""
+    Each map is one TranslateTable (delta_2 is the Fox matrix, built only
+    when a premise fails).  `dd` rows push a level's boundaries through
+    the table below, retraction rows push each xi through the level's own
+    table against its candidate form, and the exactness lattices take
+    their rows from the tables."""
     import random
     rng = random.Random(seed)
     graph, pres = state.graph, state.presentation
@@ -401,7 +402,6 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
         add("retr3", 1, f"({graph.elt_name(g)}, {graph.gens[k]})", got == want,
             "" if got == want else f"boundary {got.render()} != {want.render()}")
 
-    fox = TranslateTable(graph, pres.generators, fox_matrix_map(pres, graph))
     tables = {n: TranslateTable(graph, level.codomain, level.boundary)
               for n, level in state.levels.items()}
     # retraction: delta_n(xi tag) == candidate form, all tags; checked
@@ -418,11 +418,15 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     proved = (all(r[3] for r in rows)
               and all(r[3] for out in retraction.values() for r in out)
               and _homotopy_premises(state, tables))
+    below = pres.relator_names()  # the basis below the exactness row's level
+    if not proved:  # delta_2, the Fox matrix, is read only by direct checks
+        fox = tables[2] = TranslateTable(graph, pres.generators,
+                                         fox_matrix_map(pres, graph))
+        below_rank = Lattice(fox.width, fox.rows(below)).rank
 
     dd_ok: dict[int, bool] = {}
     for n in sorted(state.levels):
-        level = state.levels[n]
-        lower = fox if n == 3 else tables.get(n - 1)
+        level, lower = state.levels[n], tables.get(n - 1)
         # stored crossed forms agree with stored module forms (level 3)
         if n == 3:
             for cand in level.candidates:
@@ -461,8 +465,6 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
 
     # exactness: proved, or image of delta_n equals kernel of delta_{n-1}
     # by rank and saturation (see the docstring)
-    below = pres.relator_names()
-    below_rank = None if proved else Lattice(fox.width, fox.rows(below)).rank
     for n in sorted(state.levels):
         level, table = state.levels[n], tables[n]
         element = f"image(delta{n}) vs kernel(delta{n - 1})"
@@ -716,14 +718,14 @@ def import_json(text: str) -> ResolutionState:
     parsed once.  Refused, with a ValueError that names where: a missing
     or mistyped field, a `levels` key other than str(n) for n >= 3, a
     group order other than str(|G|), a bad tag, two keys for one h1 arrow
-    or tag, a tree edge or candidate listed twice, a ring that names one
-    element twice, a coefficient text export_json does not write
-    (`_coefficient`), candidate tags other than G x codomain, an xi that
-    does not cover exactly the candidate tags, a level-3 candidate without
-    a crossed form, a kept symbol whose stored boundary or crossed form is
-    not its candidate's, and (by H1Table) an h1 entry on a tree arrow.  A
-    key written twice in one JSON object is not seen: json.loads keeps the
-    last."""
+    or tag, a tree edge, candidate, basis symbol or basis tag listed
+    twice, a ring that names one element twice, a coefficient text
+    export_json does not write (`_coefficient`), candidate tags other than
+    G x codomain, an xi that does not cover exactly the candidate tags, a
+    level-3 candidate without a crossed form, a kept symbol whose stored
+    boundary or crossed form is not its candidate's, and (by H1Table) an
+    h1 entry on a tree arrow.  A key written twice in one JSON object is
+    not seen: json.loads keeps the last."""
     doc = json.loads(text)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
@@ -808,6 +810,9 @@ def import_json(text: str) -> ResolutionState:
         basis = [(_field(b, "symbol", where, str),
                   pair_tag(_field(b, "tag", where, list), f"{where}: basis tag"))
                  for b in _field(entry, "basis", where, list)]
+        for i, what in enumerate(("symbol", "tag")):
+            if len({b[i] for b in basis}) != len(basis):
+                raise ValueError(f"{where}: the basis lists a {what} twice")
         crossed_forms = tagged(_field(entry, "candidates_crossed", where, dict, {})
                                if n == 3 else {}, "candidates_crossed", where,
                                parse_form)

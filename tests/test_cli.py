@@ -6,13 +6,41 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import crossres
 import crossres.cli as cli
 from crossres import (FillError, InputError, RunConfig, build_state,
                       export_json, import_json, main, verify_state)
-from crossres.inputs import parse_order_file, parse_presentation
+from crossres.inputs import (_parse_pin_terms, parse_order_file,
+                             parse_presentation)
+from crossres.words import parse_word
 from conftest import data_path, s3_config
+
+_gap = st.sampled_from(["", " ", "  ", "\t"])
+_space = st.sampled_from([" ", "  ", "\t", " \t "])
+_element_words = st.lists(st.sampled_from(["x", "x^-1", "y", "y^-1"]),
+                          max_size=5).map(lambda ts: parse_word(" ".join(ts)))
+
+
+@st.composite
+def pin_texts(draw):
+    """(text, terms) of a certificate pin of 1-4 terms.  Each term is
+    written with its sign (or none, first and positive), an optional
+    multiplier, its symbol, `@` with or without a space on either side,
+    its element word, and one or more spaces between the tokens."""
+    text, terms = "", []
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from([1, -1]))
+        mult = draw(st.none() | st.integers(-20, 20))
+        sym = draw(st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True))
+        w = draw(_element_words)
+        tokens = ["-" if sign < 0 else "+" if k or draw(st.booleans()) else "",
+                  "" if mult is None else str(mult),
+                  sym + draw(_gap) + "@" + draw(_gap) + w.render()]
+        text += "".join(draw(_space) + tok for tok in tokens if tok)
+        terms.append((sign * (1 if mult is None else mult), sym, w))
+    return text + draw(_gap), terms
 
 
 class TestParsePresentation:
@@ -93,6 +121,10 @@ class TestParseOrderFile:
         ("[xi 3]\nx r := +\n", "empty certificate pin"),
         ("[xi 3]\nx r := 2\n", "dangling term"),
         ("[xi 3]\nx r := b3_1 @ x\nx r := b3_1 @ x\n", "duplicate certificate"),
+        # a sign token right after a multiplier is no symbol
+        ("[xi 3]\n1 r := 2 + @x\n", "dangling term"),
+        ("[xi 3]\nx r := -3 - b3_1 @ 1\n", "dangling term"),
+        ("[xi 3]\nx r := 0 -\n", "dangling term"),
     ])
     def test_errors(self, s3_graph, tmp_path, body, fragment):
         path = tmp_path / "bad.order"
@@ -108,6 +140,11 @@ class TestParseOrderFile:
         terms = overrides[3][(1, "r")]
         assert [(c, sym, w.render()) for c, sym, w in terms] \
             == [(-2, "b3_1", "x^2"), (1, "b3_2", "y x")]
+
+    @given(pin_texts())
+    def test_pin_reader_returns_the_written_terms(self, s3_graph, pin):
+        text, terms = pin
+        assert _parse_pin_terms(text, s3_graph, "pin") == terms
 
 
 class TestBuildState:

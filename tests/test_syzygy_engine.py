@@ -495,6 +495,27 @@ class TestVerifyAndSerialize:
                                  rf"twice among the candidates"):
             import_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("what", ["symbol", "tag"])
+    def test_import_rejects_a_basis_that_lists_a_symbol_or_tag_twice(
+            self, s3_state, what):
+        """The S3 fixture cut to level 3, with its first basis entry listed
+        again, or its first tag listed again under a new symbol b3_9 with
+        that symbol's boundary and crossed form; without the check either
+        state imports, verifies and re-exports the extra entry."""
+        doc = json.loads(export_json(s3_state))
+        del doc["levels"]["4"]
+        level = doc["levels"]["3"]
+        first = level["basis"][0]
+        if what == "symbol":
+            level["basis"].append(dict(first))
+        else:
+            level["basis"].append({"symbol": "b3_9", "tag": first["tag"]})
+            for field in ("boundary", "crossed"):
+                level[field]["b3_9"] = level[field][first["symbol"]]
+        with pytest.raises(ValueError,
+                           match=f"^level 3: the basis lists a {what} twice$"):
+            import_json(json.dumps(doc))
+
     @staticmethod
     def _rejected_b3_4(doc):
         """The last level-4 candidate of the S3 fixture tagged b3_4 that is
@@ -1060,15 +1081,17 @@ def test_verify_falls_back_to_the_direct_checks_on_faulty_states(
 
 @pytest.mark.parametrize("name", ["s3-L4"] + sorted(_EXACTNESS_STATES))
 def test_verify_proves_clean_states_without_a_lattice(name, monkeypatch):
-    """On a clean state the homotopy proves exactness: no Lattice is
-    built, and the rows are still those of the direct-way reference."""
+    """On a clean state the homotopy proves exactness: no Lattice and no
+    Fox matrix is built, and the rows are still those of the direct-way
+    reference."""
     state = import_json(_built_text(name))
     want = _reference_verify(state, samples=2)
 
-    def refuse(self, *args):
-        raise AssertionError("verify_state built a Lattice")
+    def refuse(*args):
+        raise AssertionError("verify_state built a Lattice or delta_2")
 
     monkeypatch.setattr(zg_lattice.Lattice, "__init__", refuse)
+    monkeypatch.setattr(syzygy_engine, "fox_matrix_map", refuse)
     assert verify_state(state, samples=2) == want
     assert want[0]
 

@@ -176,13 +176,17 @@ def h1_entries(path, contraction) -> dict:
 
 def _parse_pin_terms(text, graph, where):
     """A pin's [(coefficient, symbol, element word)], term by term."""
-    terms, coeff = [], 1
-    # groupby alternates sign runs and term runs; a run's last sign counts
+    terms, sign = [], None
+    # groupby alternates sign runs and term runs; a sign signs the term
+    # after it, so a sign run is one sign and a term must follow it
     for is_sign, run in groupby(text.split(), lambda tok: tok in ("+", "-")):
         run = list(run)
         if is_sign:
-            coeff = -1 if run[-1] == "-" else 1
+            if len(run) > 1:
+                raise InputError(f"{where}: dangling sign in certificate pin")
+            sign = run[0]
             continue
+        coeff, sign = -1 if sign == "-" else 1, None
         n = read_int(run[0])
         if n is not None:
             coeff, run = coeff * n, run[1:]
@@ -202,6 +206,8 @@ def _parse_pin_terms(text, graph, where):
             raise InputError(f"{where}: {exc}") from None
     if not terms:
         raise InputError(f"{where}: empty certificate pin")
+    if sign:
+        raise InputError(f"{where}: dangling sign in certificate pin")
     return terms
 
 

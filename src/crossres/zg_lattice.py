@@ -221,6 +221,19 @@ class OrbitLattice(Lattice):
     an echelon basis of all the relations (`kernel_rows`, pivots
     `kernel_pivots`), kept for canonical certificate reduction.
 
+    The I columns follow the input order, but the rows are fed to the
+    HNF stably sorted by their generator's number of nonzero entries, so
+    the sparsest generators' translates come first (every translate of
+    a generator has its count).  The HNF pivots on the smallest entry of
+    a column and, on a tie, the first row, and translate entries are
+    mostly +-1, so the feed order picks the pivot rows; sparse ones
+    spread less fill-in into T, the log and the relations (Markowitz's
+    rule).  No output moves with it: `rows` and `pivots` are the unique
+    HNF of T; the relation rows span the same lattice in the same
+    columns, so their pivot columns and values are invariants; and
+    `member_solve` shows that the fallback certificate depends only on
+    that lattice.  The logs and the relation rows themselves may differ.
+
     The certificate searches read private sparse forms, derived once
     here: `_expr_pairs` and `_kernel_pairs` hold the nonzero (column,
     value) pairs of `expr_rows` and `kernel_rows` (a kernel row's first
@@ -241,8 +254,10 @@ class OrbitLattice(Lattice):
         ambient = table.width
         inputs = table.rows(range(len(gens)))
         k = len(inputs)
-        rows = [row + [0] * i + [1] + [0] * (k - 1 - i)
-                for i, row in enumerate(inputs)]
+        supports = [pairs for j in range(len(gens))
+                    for pairs in table.translates[j]]
+        rows = [inputs[i] + [0] * i + [1] + [0] * (k - 1 - i)
+                for i in sorted(range(k), key=lambda i: len(supports[i]))]
         pivots = _hnf_in_place(rows, ambient + k, ambient)
         rank = sum(p < ambient for p in pivots)
         self.ambient = ambient
@@ -254,8 +269,7 @@ class OrbitLattice(Lattice):
         self.expr_rows = tuple(tuple(r[ambient:]) for r in rows[:rank])
         self.kernel_pivots = tuple(p - ambient for p in pivots[rank:])
         self.kernel_rows = tuple(tuple(r[ambient:]) for r in rows[rank:])
-        self._supports = [pairs for j in range(len(gens))
-                          for pairs in table.translates[j]]
+        self._supports = supports
         self._weights = [sum(abs(v) for _, v in s) for s in self._supports]
         self._by_position = [([], []) for _ in range(ambient)]
         for i, support in enumerate(self._supports):

@@ -133,6 +133,23 @@ class TestParseOrderFile:
             parse_order_file(str(path), s3_graph)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("pin", [
+        "b3_1 @ x +",
+        "b3_1 @ x - b3_2 @ y -",
+        "- + b3_1 @ x",
+        "- - b3_1 @ x",
+        "b3_1 @ x + - b3_2 @ y",
+        "- -",
+    ])
+    def test_dangling_sign_refused_at_its_line(self, s3_graph, tmp_path, pin):
+        """A sign signs the one term after it: a trailing sign or a run of
+        signs is refused at the pin's line, not read as a sign."""
+        path = tmp_path / "bad.order"
+        path.write_text(f"[xi 3]\nx r := {pin}\n")
+        with pytest.raises(InputError) as err:
+            parse_order_file(str(path), s3_graph)
+        assert str(err.value) == f"{path}:2: dangling sign in certificate pin"
+
     def test_pin_with_attached_at_sign(self, s3_graph, tmp_path):
         path = tmp_path / "pin.order"
         path.write_text("[xi 3]\nx r := -2 b3_1@x^2 + b3_2 @ y x\n")

@@ -195,14 +195,19 @@ _BENCH_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 _REPLAY_STATES = sorted(glob.glob(os.path.join(_BENCH_DATA, "replay", "*.json")))
 
 
-def _replay_config(path) -> RunConfig:
-    """The settings a frozen `<stem>-L<level>.json` was built with: the
-    stored presentation and h1 table, a BFS tree and the declared order."""
-    stem, level = os.path.basename(path)[:-len(".json")].rsplit("-L", 1)
+def _bench_config(stem, level) -> RunConfig:
+    """A stored group to `level`: its presentation and sweep h1 table, a
+    BFS tree and the declared order."""
     pres = (data_path("q8.pres") if stem == "q8"
             else os.path.join(_BENCH_DATA, "pres", f"{stem}.pres"))
-    return RunConfig(presentation=pres, max_level=int(level),
+    return RunConfig(presentation=pres, max_level=level,
                      h1=os.path.join(_BENCH_DATA, "h1", f"{stem}.h1"))
+
+
+def _replay_config(path) -> RunConfig:
+    """The settings a frozen `<stem>-L<level>.json` was built with."""
+    stem, level = os.path.basename(path)[:-len(".json")].rsplit("-L", 1)
+    return _bench_config(stem, int(level))
 
 json_trees = st.recursive(
     st.text(), lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids))
@@ -720,7 +725,10 @@ def test_sl23_full_build_is_frozen(monkeypatch):
 @pytest.mark.parametrize("config", [
     s3_config(),
     RunConfig(presentation=data_path("q8.pres"), max_level=5),
-], ids=["s3-L4", "q8-L5"])
+    _bench_config("d6", 5),
+    _bench_config("sl23", 5),
+    _bench_config("s4", 4),
+], ids=["s3-L4", "q8-L5", "d6-L5", "sl23-L5", "s4-L4"])
 def test_reduction_span_lattice_matches_standalone(monkeypatch, config):
     """The OrbitLattice that reduce_level builds matches the canonical
     HNF of [T | I] taken standalone over the same generators: same image

@@ -289,6 +289,55 @@ def test_hnf_beside_identity_gives_log_and_relations(matrix):
     assert Lattice(k, relations) == Lattice(k, mirror[want_rank:])
 
 
+def _fed_hnf(raw, width, order):
+    """The HNF of [raw | I] reduced on raw's columns, with the rows fed in
+    `order`, each beside its own unit row.  Returns the image rows and
+    pivots, the relation echelon with its pivots, and a function giving
+    the relation-reduced certificate of a vector in the image, as
+    `OrbitLattice` and `_hnf_certificate` compute them."""
+    k = len(raw)
+    unit_rows = _identity(k)
+    rows = [list(raw[i]) + unit_rows[i] for i in order]
+    pivots = _hnf_in_place(rows, width + k, reduced=width)
+    rank = sum(p < width for p in pivots)
+    image = [r[:width] for r in rows[:rank]]
+    logs = [r[width:] for r in rows[:rank]]
+    relations = [r[width:] for r in rows[rank:]]
+    kernel_pivots = [p - width for p in pivots[rank:]]
+
+    def certificate(vec):
+        residue, coeffs = _reduce(image, pivots[:rank], vec)
+        assert not any(residue)
+        return _reduce_modulo(relations, kernel_pivots, _dot(coeffs, logs, k))
+
+    return image, pivots[:rank], relations, kernel_pivots, certificate
+
+
+@settings(deadline=None)
+@given(matrices() | sparse_matrices(), st.data())
+def test_hnf_beside_identity_is_invariant_under_feed_order(matrix, data):
+    """Feeding the rows of [raw | I] in any order, each beside its own
+    unit row, gives the same image HNF, the same relation lattice and
+    the same relation-reduced certificate for every vector in the image,
+    though the logs and the relation rows themselves may differ."""
+    width, raw = matrix
+    k = len(raw)
+    order = data.draw(st.permutations(range(k)))
+    image, pivots, relations, kernel_pivots, certificate = \
+        _fed_hnf(raw, width, range(k))
+    image2, pivots2, relations2, kernel_pivots2, certificate2 = \
+        _fed_hnf(raw, width, order)
+    assert (image2, pivots2) == (image, pivots)
+    assert kernel_pivots2 == kernel_pivots
+    assert ([r[p] for r, p in zip(relations2, kernel_pivots)]
+            == [r[p] for r, p in zip(relations, kernel_pivots)])
+    assert Lattice(k, relations2) == Lattice(k, relations)
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    vec = _dot(coeffs, raw, width)
+    assert certificate2(vec) == certificate(vec)
+    assert _dot(certificate(vec), raw, width) == vec
+
+
 class TestOrbitLattice:
     def test_span_of_orbit_closure(self, s3_graph):
         m = unit("r", 1) - unit("r", 0)

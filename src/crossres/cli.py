@@ -12,7 +12,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .group_core import Contraction0, bfs_tree, enumerate_presentation
+from .group_core import DEFAULT_MAX_COSETS, Contraction0, bfs_tree, \
+    enumerate_presentation
 from .inputs import InputError, parse_order_file, parse_presentation, read_text, \
     tree_from_file
 from .logged_rewriter import DEFAULT_LIMITS, FillLimits, build_h1
@@ -29,7 +30,7 @@ class RunConfig:
     h1: str = "search"
     order: str = "declared"
     max_depth: int = DEFAULT_LIMITS.max_depth
-    max_cosets: int = 100000
+    max_cosets: int = DEFAULT_MAX_COSETS
     format: str = "table"
     verify: bool = False
     out: str | None = None

@@ -72,6 +72,9 @@ class Presentation:
 
 _SENT = -1
 
+# Coset enumeration's default size limit, also the CLI's --max-cosets default.
+DEFAULT_MAX_COSETS = 100000
+
 
 class _Enumerator:
     """HLT-style coset enumeration over the trivial subgroup, with
@@ -241,7 +244,8 @@ class CayleyGraph:
         return g
 
 
-def enumerate_presentation(pres: Presentation, max_cosets: int = 100000) -> CayleyGraph:
+def enumerate_presentation(pres: Presentation,
+                           max_cosets: int = DEFAULT_MAX_COSETS) -> CayleyGraph:
     """Coset enumeration of <X | R> over the trivial subgroup."""
     ngens = len(pres.generators)
     gen_index = {name: k for k, name in enumerate(pres.generators)}

@@ -89,6 +89,20 @@ def _parse_tag(text, graph, where, last="name"):
         raise InputError(f"{where}: {exc.args[0]}") from None
 
 
+def read_relator(name, text, generators) -> Word:
+    """The relator `name` written as `text` on `generators`, read by the
+    one rule of every presentation reader: caret-power word syntax, not
+    empty and freely reduced as written.  Refused with a ValueError, which
+    names the relator when the word is empty or not freely reduced."""
+    letters = parse_letters(text, generators)
+    w = Word(letters)
+    if w.is_empty():
+        raise ValueError(f"relator {name!r} is empty")
+    if len(w) != len(letters):
+        raise ValueError(f"relator {name!r} is not freely reduced as written")
+    return w
+
+
 def parse_presentation(text: str, source: str = "<presentation>") -> Presentation:
     """Parse the presentation grammar; errors carry line numbers."""
     gens = None
@@ -116,18 +130,10 @@ def parse_presentation(text: str, source: str = "<presentation>") -> Presentatio
         if name in seen:
             raise InputError(f"{where}: duplicate relator name {name!r}")
         seen.add(name)
-        word_text = body.strip()
         try:
-            letters = parse_letters(word_text, set(gens))
+            relators.append((name, read_relator(name, body.strip(), set(gens))))
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-        w = Word(letters)
-        if w.is_empty():
-            raise InputError(f"{where}: relator {name!r} is empty")
-        if len(w) != len(letters):
-            raise InputError(
-                f"{where}: relator {name!r} is not freely reduced as written")
-        relators.append((name, w))
     if gens is None:
         raise InputError(f"{source}: missing `gens:` line")
     with whole_file(source):

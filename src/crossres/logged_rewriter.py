@@ -24,16 +24,15 @@ the first copy and charges the later copies' nodes in place, since a
 revisit at the same depth can only cost one node and fail (the argument
 is in fill_loop).  At the last depth of an iteration each move leads to a
 leaf that costs one node, so the search counts those moves instead of
-building their children.  A child there is in doubt when it might exceed
-the length limit, or might be empty: an empty child means the word is a
-conjugate of a relator's rotation, so its cyclically reduced length must
-equal the relator's.  When no child of a word is in doubt, one pass of
-an automaton over the word counts every move: the trie of the distinct
-rotations with the failure transitions of Aho and Corasick.  Otherwise
-each rotation is matched at each position, and the children in doubt
-are built.  The rotation table and the automaton are built once per
-build_h1 call and shared by its fill_loop calls; they are never kept
-beyond that call.
+building their children, unless a child might exceed the length limit
+or be empty.  A child is empty only when the word is a reduced conjugate
+of a relator's rotation, and then the word's cyclic reduction is a
+cyclic rotation of the signed relator's.  Where neither can happen, one
+pass of an automaton over the word counts every move: the trie of the
+distinct rotations with the failure transitions of Aho and Corasick.
+Every other word is walked as at the depths above.  The rotation table
+and the automaton are built once per build_h1 call and shared by its
+fill_loop calls; they are never kept beyond that call.
 """
 
 from __future__ import annotations
@@ -73,12 +72,12 @@ def _join(x, y):
     return x[:-k] + y[k:]
 
 
-def _cyclic_length(letters):
-    """Length of the cyclic reduction of a freely reduced coded word."""
+def _cyclic_core(letters):
+    """The cyclic reduction of a freely reduced coded word."""
     n, k = len(letters), 0
     while 2 * k + 1 < n and letters[k] == -letters[n - 1 - k]:
         k += 1
-    return n - 2 * k
+    return letters[k:n - k]
 
 
 def _rotation_table(pres):
@@ -89,12 +88,14 @@ def _rotation_table(pres):
     A letter is coded as +-(generator index + 1), so that the inverse of a
     letter is its negation.  table[c] lists the distinct rotations that
     start with c, in the key order of their first copies, each as
-    (rotation, tails, grow, size, copies):
+    (rotation, tails, grow, core, copies):
     - tails[m] is the freely reduced inverse of rot[m:], which replaces a
       match of length m; free reduction is confluent, so reducing it here
       leaves every child as it was.  grow[m] = len(tails[m]) - m.
-    - size is the length of the relator's cyclic reduction, which every
-      rotation and every conjugate of it shares.
+    - core is the cyclic reduction of the signed relator.  Every reduced
+      conjugate of the rotation has a cyclic rotation of core as its own
+      cyclic reduction (Lyndon and Schupp, Combinatorial Group Theory,
+      ch. I).
     - copies lists (relator index, sign flag, rotation offset, logged move)
       for every signed rotation equal to this one (x^6 has six), in key
       order.  Copies match alike and give the same children."""
@@ -106,8 +107,8 @@ def _rotation_table(pres):
     table: dict[int, list] = {}
     copies_of: dict[tuple, list] = {}
     for ri, (name, w) in enumerate(pres.relators):
-        size = _cyclic_length(encode(w.letters))
         for flag, base in enumerate((w.letters, w.inv().letters)):
+            core = _cyclic_core(encode(base))
             for k in range(len(base)):
                 rot = base[k:] + base[:k]
                 coded = encode(rot)
@@ -120,12 +121,12 @@ def _rotation_table(pres):
                 grow = [len(t) - m for m, t in enumerate(tails)]
                 copies_of[coded] = copies = [copy]
                 table.setdefault(coded[0], []).append(
-                    (coded, tails, grow, size, copies))
+                    (coded, tails, grow, core, copies))
     return table
 
 
 def _rotation_automaton(table):
-    """(automaton, sizes, reach): what the last depth of fill_loop needs
+    """(automaton, cores, reach): what the last depth of fill_loop needs
     to count its moves on the rotation table `table` in one pass over a
     word, without matching each rotation at each position.
     - automaton is the trie of the distinct rotations, as nested dicts
@@ -139,20 +140,21 @@ def _rotation_automaton(table):
       suffix of its letters that is a node too.  A rotation matching m
       letters at a position is then counted once at each of those m
       letters, as fill_loop counts its moves.
-    - sizes is the set of the rotations' cyclic lengths.
+    - cores is the set of the cyclic rotations of every core: the cyclic
+      reductions a word must have for a move to leave it empty.
     - reach is the largest grow[m] over every rotation and match length
       m >= 1: no child is longer than its word by more."""
     root: dict = {0: 0}
     alphabet: set = set()
-    sizes, reach = set(), 0
+    cores, reach = set(), 0
     for entries in table.values():
-        for rot, _, grow, size, copies in entries:
+        for rot, _, grow, core, copies in entries:
             node = root
             for c in rot:
                 node = node.setdefault(c, {0: 0})
                 node[0] += len(copies)
             alphabet.update(rot)
-            sizes.add(size)
+            cores.update(core[k:] + core[:k] for k in range(len(core)))
             reach = max(reach, *grow[1:])
     # Breadth first, so that a node's failure node (the node of its
     # longest proper suffix) is complete, transitions and count, before
@@ -167,7 +169,7 @@ def _rotation_automaton(table):
                 queue.append((node[c], fail[c]))
             else:
                 node[c] = fail[c]
-    return root, sizes, reach
+    return root, cores, reach
 
 
 def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
@@ -195,25 +197,27 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
     same child either way.
 
     At the last depth every move leads to a leaf that costs one node, so
-    the moves are counted, not visited.  A child is in doubt where its
-    length bound L + grow[m] exceeds max_length, or where it can be empty.
-    The child p.tails[m].s of letters = p.rot[:m].s is empty exactly when
-    p.rot[m:]^-1.s = 1 in the free group, that is, when letters is the
-    reduced conjugate p.rot.p^-1 of the rotation.  Conjugate words have
-    cyclic reductions of one length, so an empty child needs the cyclic
-    length of letters to equal its relator's.  When the cyclic length of
-    letters is no rotation's size and the largest grow fits in
-    max_length - L, no child is in doubt, and the automaton counts the
-    moves in one pass over letters.  Otherwise each rotation is matched
-    at each position and a child is built where it is in doubt.  When the
-    budget cannot pay for every move, the children are built and walked
-    in order as at any other depth, so the word the search runs out on is
-    named.
+    the moves are counted, not visited, wherever no child can be too long
+    or empty.  A child can be too long only where reach, the largest
+    grow[m], exceeds max_length - L.  The child p.tails[m].s of letters =
+    p.rot[:m].s is empty exactly when p.rot[m:]^-1.s = 1 in the free
+    group, that is, when letters is the reduced conjugate p.rot.p^-1 of
+    the rotation, whose cyclic reduction is a cyclic rotation of the
+    relator's core: a child can be empty only when the cyclic reduction of
+    letters is in cores.  Where neither can happen, one pass of the
+    automaton over letters counts the moves: each letter adds the copies
+    of every rotation matched up to it from an earlier or the same
+    position, so a rotation matching m letters is counted m times, once
+    per move.  Every other word, and every word whose moves the budget
+    cannot pay for, is walked as at any other depth: an empty child sorts
+    first and ends the search after one node, and otherwise the walk
+    charges each move one node, as the count does, or names the word the
+    budget runs out on.
     """
     if w.is_empty():
         return IDENTITY_CROSSED
     table = _rotation_table(pres) if rotations is None else rotations
-    root, sizes, reach = (_rotation_automaton(table) if automaton is None
+    root, cores, reach = (_rotation_automaton(table) if automaton is None
                           else automaton)
     get, join = table.get, _join
     names = tuple(dict.fromkeys(pres.generators + tuple(n for n, _ in w)))
@@ -265,48 +269,6 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
                         first = False
         return found
 
-    def leaf(letters):
-        """(moves, (move, position) of the first empty child or None): the
-        match count and first empty child over what children() would list.
-
-        When no child can be empty or too long, the moves are counted in
-        one pass of the automaton over the letters: each letter adds the
-        copies of every rotation matched up to it from an earlier or the
-        same position, so a rotation matching m letters is counted m
-        times, once per move.  Otherwise each rotation is matched at each
-        position, and a child is built where its length or emptiness is in
-        doubt."""
-        L = len(letters)
-        slack = max_length - L
-        cyclic = _cyclic_length(letters)
-        if reach <= slack and cyclic not in sizes:
-            moves, node = 0, root
-            for c in letters:
-                node = node.get(c, root)
-                moves += node[0]
-            return moves, None
-        moves, empty = 0, None
-        for i, c in enumerate(letters):
-            entries = get(c)
-            if entries is None:
-                continue
-            left = L - i
-            for rot, tails, grow, size, copies in entries:
-                top = len(rot)
-                if left < top:
-                    top = left
-                m = 1
-                while m < top and letters[i + m] == rot[m]:
-                    m += 1
-                if size == cyclic or grow[m] > slack:
-                    child = join(join(letters[:i], tails[m]), letters[i + m:])
-                    if len(child) > max_length:
-                        continue
-                    if not child and empty is None:
-                        empty = (copies[0][3], i)
-                moves += m * len(copies)
-        return moves, empty
-
     def logged(move, i, letters, rest):
         name, sign, a = move
         return [(name, sign, a * decode(letters[:i]).inv())] + rest
@@ -329,18 +291,16 @@ def fill_loop(pres, w: Word, limits: FillLimits = DEFAULT_LIMITS,
         if seen is not None and seen >= remaining:
             return None
         memo[letters] = remaining
-        if remaining == 1:
-            # Every move leads to a leaf that costs one node.  An empty
-            # child sorts first and ends the search (leaf meets the moves
-            # in key order, so the first empty child it finds is the
-            # least); otherwise the walk would find nothing.  When the
-            # budget cannot pay for every move, the sorted walk below
-            # names the word it runs out on.
-            moves, empty = leaf(letters)
+        if (remaining == 1 and reach <= max_length - len(letters)
+                and _cyclic_core(letters) not in cores):
+            # Every move leads to a leaf that costs one node, and none is
+            # empty, so the walk below would find nothing but the word the
+            # budget runs out on, if it cannot pay for every move.
+            moves, node = 0, root
+            for c in letters:
+                node = node.get(c, root)
+                moves += node[0]
             if moves <= budget:
-                if empty is not None:
-                    budget -= 1
-                    return logged(*empty, letters, [])
                 budget -= moves
                 return None
         found = children(letters)

@@ -32,9 +32,9 @@ from .crossed import (CrossedElt, ModuleElt, abelian_sums, abelianise,
                       boundary2, parse_crossed, render_crossed, unit)
 from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
-from .inputs import _parse_tag
+from .inputs import _parse_tag, read_relator
 from .logged_rewriter import H1Table, h1_eval
-from .words import GroupRingElt, Word, fox_derivative, parse_word, read_int
+from .words import GroupRingElt, Word, fox_derivative, read_int
 from .zg_lattice import IntSpan, Lattice, OrbitLattice, TranslateTable, \
     expand, member_solve
 # unused here; bench/tracing.py looks them up in this module to time them
@@ -716,7 +716,8 @@ def import_json(text: str) -> ResolutionState:
     <name>` key or an [element, name] pair, is read by `inputs._parse_tag`,
     the tag grammar of the input files; each distinct crossed-form text is
     parsed once.  Refused, with a ValueError that names where: a missing
-    or mistyped field, a `levels` key other than str(n) for n >= 3, a
+    or mistyped field, a relator word the .pres reader refuses
+    (`inputs.read_relator`), a `levels` key other than str(n) for n >= 3, a
     group order other than str(|G|), a bad tag, two keys for one h1 arrow
     or tag, a tree edge, candidate, basis symbol or basis tag listed
     twice, a ring that names one element twice, a coefficient text
@@ -734,7 +735,7 @@ def import_json(text: str) -> ResolutionState:
     gens = _field(presentation, "generators", "presentation", list)
     relators = _field(presentation, "relators", "presentation", list)
     try:
-        pres = Presentation(gens, [(name, parse_word(wtext, gens))
+        pres = Presentation(gens, [(name, read_relator(name, wtext, gens))
                                    for name, wtext in relators])
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"presentation: {exc}") from None

@@ -9,8 +9,9 @@ from crossres.crossed import (CrossedElt, IDENTITY_CROSSED, boundary2, mult,
 from crossres.group_core import Contraction0, bfs_tree, enumerate_presentation
 from crossres.inputs import parse_presentation, tree_from_file
 from crossres.logged_rewriter import (DEFAULT_LIMITS, FillLimits, H1Table,
-                                      _rotation_automaton, _rotation_table,
-                                      build_h1, fill_loop, h1_eval)
+                                      _cyclic_core, _join, _rotation_automaton,
+                                      _rotation_table, build_h1, fill_loop,
+                                      h1_eval)
 from crossres.words import Word, parse_word, word
 from conftest import assert_input_errors, data_path
 
@@ -355,7 +356,7 @@ class TestRotationTable:
         listed, distinct = [], set()
         for c, entries in _rotation_table(pres).items():
             firsts = []
-            for rot, tails, grow, size, copies in entries:
+            for rot, tails, grow, core, copies in entries:
                 assert rot[0] == c and rot not in distinct
                 distinct.add(rot)
                 assert grow == [len(t) - m for m, t in enumerate(tails)]
@@ -369,12 +370,35 @@ class TestRotationTable:
                 assert keys == sorted(keys)  # equal rotations in key order
                 listed += keys
                 firsts.append(keys[0])
-            # leaf reads this order to report the least empty child
+            # distinct rotations in the key order of their first copies
             assert firsts == sorted(firsts)
         assert len(listed) == 2 * sum(len(w) for _, w in pres.relators)
         assert set(listed) == {(ri, flag, k)
                                for ri, (_, w) in enumerate(pres.relators)
                                for flag in (0, 1) for k in range(len(w))}
+
+
+def _reduced(codes):
+    out = ()
+    for c in codes:
+        out = _join(out, (c,))
+    return out
+
+
+@st.composite
+def coded_words(draw):
+    """(group, letters): a freely reduced coded word on the generators of
+    one of REFERENCE_PRESENTATIONS; half of them are reduced conjugates
+    a.rot.a^-1 of a rotation of a signed relator."""
+    group = draw(st.sampled_from(sorted(REFERENCE_PRESENTATIONS)))
+    pres = parse_presentation(REFERENCE_PRESENTATIONS[group])
+    codes = [s * (k + 1) for k in range(len(pres.generators)) for s in (1, -1)]
+    a = draw(st.lists(st.sampled_from(codes), max_size=8))
+    if draw(st.booleans()):
+        rot = draw(st.sampled_from([e[0] for es in _rotation_table(pres).values()
+                                    for e in es]))
+        a = a + list(rot) + [-c for c in reversed(a)]
+    return group, _reduced(a)
 
 
 class TestRotationAutomaton:
@@ -402,14 +426,46 @@ class TestRotationAutomaton:
         assert got == expected
 
     @pytest.mark.parametrize("group", sorted(REFERENCE_PRESENTATIONS))
-    def test_sizes_and_reach(self, group):
+    def test_cores_and_reach(self, group):
         pres = parse_presentation(REFERENCE_PRESENTATIONS[group])
+        code = {name: k + 1 for k, name in enumerate(pres.generators)}
+        expected = set()
+        for _, w in pres.relators:
+            for signed in (w, w.inv()):
+                letters = list(signed.letters)
+                while len(letters) > 1 and letters[0] == (letters[-1][0],
+                                                          -letters[-1][1]):
+                    letters = letters[1:-1]
+                core = [code[n] * s for n, s in letters]
+                expected.update(tuple(core[k:] + core[:k])
+                                for k in range(len(core)))
         table = _rotation_table(pres)
-        _, sizes, reach = _rotation_automaton(table)
+        _, cores, reach = _rotation_automaton(table)
+        assert cores == expected
         entries = [e for es in table.values() for e in es]
-        assert sizes == {size for _, _, _, size, _ in entries}
         assert reach == max(0, *(g for _, _, grow, _, _ in entries
                                  for g in grow[1:]))
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=coded_words())
+    @example(case=("S3conj", (1, 2, 2, 2, -1)))
+    @example(case=("S3conj", (2, 2, 2)))
+    @example(case=("D6", (2, 1, 1, 1, 1, 1, 1, -2)))
+    @example(case=("C2xC2xC2", (3, 1, 2, -1, -2, -3)))
+    def test_an_empty_child_needs_a_core(self, case):
+        # The last depth counts the moves of a word whose cyclic reduction
+        # is not in cores, so none of them may leave it empty.  Every move,
+        # each match length of each rotation at each position, is tried.
+        group, letters = case
+        table = _rotation_table(parse_presentation(REFERENCE_PRESENTATIONS[group]))
+        _, cores, _ = _rotation_automaton(table)
+        for i, c in enumerate(letters):
+            for rot, tails, _, _, _ in table.get(c, ()):
+                for m in range(1, min(len(rot), len(letters) - i) + 1):
+                    if letters[i + m - 1] != rot[m - 1]:
+                        break
+                    if not _join(_join(letters[:i], tails[m]), letters[i + m:]):
+                        assert _cyclic_core(letters) in cores, (i, rot, m)
 
 
 def _least_budget(pres, loop, limits):

@@ -606,8 +606,13 @@ class TestVerifyAndSerialize:
         (["group", "order"], "07", "group: order '07' is not the order 6"),
         (["group", "order"], "5", "group: order '5' is not the order 6"),
         (["group", "order"], 6, "group: field 'order' is missing or not a str"),
+        # read as written, as parse_presentation reads it: `x^3` after
+        # free reduction, but refused
+        (["presentation", "relators", 0], ["r", "x x^-1 x^3"],
+         "presentation: relator 'r' is not freely reduced as written"),
     ], ids=["no-xi", "basis-object", "tag-missing", "xi-value-list",
-            "tree-edge-twice", "order-07", "order-5", "order-number"])
+            "tree-edge-twice", "order-07", "order-5", "order-number",
+            "relator-not-freely-reduced"])
     def test_import_rejects_a_missing_or_mistyped_field(self, s3_state, path,
                                                         value, message):
         """The value at `path` in the S3 fixture's document deleted (None)
@@ -644,6 +649,15 @@ class TestVerifyAndSerialize:
         doc["presentation"]["relators"] = relators
         with pytest.raises(ValueError, match="presentation: "):
             import_json(json.dumps(doc))
+
+    def test_import_reads_a_relator_spelt_freely_reduced(self):
+        # `x^2 x^2` is freely reduced as written, so it imports as C4's
+        # relator x^4 and re-exports to the same text
+        text = export_json(build_state(
+            RunConfig(presentation=data_path("c4.pres"))))
+        doc = json.loads(text)
+        doc["presentation"]["relators"] = [["r", "x^2 x^2"]]
+        assert export_json(import_json(json.dumps(doc))) == text
 
     def test_render_tables_mentions_every_tag(self, s3_state):
         out = render_tables(s3_state)

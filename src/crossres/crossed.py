@@ -67,22 +67,15 @@ def act(a: CrossedElt, w: Word) -> CrossedElt:
     return CrossedElt(tuple((name, sign, u * w) for name, sign, u in a.factors))
 
 
-def boundary2(a: CrossedElt, pres, memo=None) -> Word:
+def boundary2(a: CrossedElt, pres) -> Word:
     """delta_2: prod u^-1 (omega r)^e u, freely reduced.  The letters of
     every factor are concatenated and reduced once, by the stack that
     cancels at its top in `Word`; free reduction is confluent, so this is
-    the word the product of the factors gives.  `memo`, a dict factor ->
-    letters kept across calls on one presentation, builds each once."""
+    the word the product of the factors gives."""
     letters: list = []
-    for factor in a.factors:
-        part = memo.get(factor) if memo is not None else None
-        if part is None:
-            name, sign, u = factor
-            w = pres.relator_word(name)
-            part = u.inv().letters + (w.inv() if sign == -1 else w).letters + u.letters
-            if memo is not None:
-                memo[factor] = part
-        letters += part
+    for name, sign, u in a.factors:
+        w = pres.relator_word(name)
+        letters += u.inv().letters + (w.inv() if sign == -1 else w).letters + u.letters
     return Word(letters)
 
 
@@ -157,10 +150,9 @@ def abelian_sums(a: CrossedElt, graph, elts) -> dict[str, dict[int, int]]:
     return coords
 
 
-def abelianise(a: CrossedElt, graph, elts=None) -> ModuleElt:
-    """(r^e)^u  ->  e . e_r . φ(u), summed over factors; `elts` as for
-    `abelian_sums`."""
-    coords = abelian_sums(a, graph, {} if elts is None else elts)
+def abelianise(a: CrossedElt, graph) -> ModuleElt:
+    """(r^e)^u  ->  e . e_r . φ(u), summed over factors."""
+    coords = abelian_sums(a, graph, {})
     return ModuleElt({name: GroupRingElt(row) for name, row in coords.items()})
 
 

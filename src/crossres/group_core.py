@@ -27,6 +27,25 @@ class TreeError(ValueError):
     pass
 
 
+def check_name(kind: str, name: str, seen: set) -> None:
+    """Refuse, with a PresentationError, a `kind` ("generator" or
+    "relator") name that breaks its rule or is already in `seen`; else
+    add it to `seen`.  The one name rule of `Presentation` and of the
+    .pres reader, which checks each name on the line that gives it."""
+    if kind == "generator":
+        try:
+            validate_generator_name(name)
+        except ValueError as exc:
+            raise PresentationError(str(exc)) from None
+    # "@" separates a factor's relator from its conjugator in stored
+    # consequences, so a relator name holding it would not read back
+    elif not name or "@" in name or any(ch.isspace() for ch in name):
+        raise PresentationError(f"invalid relator name {name!r}")
+    if name in seen:
+        raise PresentationError(f"duplicate {kind} name {name!r}")
+    seen.add(name)
+
+
 class Presentation:
     """A finite presentation <X | R> with named relators."""
 
@@ -34,23 +53,13 @@ class Presentation:
 
     def __init__(self, generators, relators):
         gens = tuple(generators)
+        seen: set = set()
         for name in gens:
-            try:
-                validate_generator_name(name)
-            except ValueError as exc:
-                raise PresentationError(str(exc)) from None
-        if len(set(gens)) != len(gens):
-            raise PresentationError("duplicate generator names")
+            check_name("generator", name, seen)
         rels = tuple((name, w) for name, w in relators)
         seen = set()
         for name, w in rels:
-            # "@" separates a factor's relator from its conjugator in
-            # stored consequences, so a name holding it would not read back
-            if not name or "@" in name or any(ch.isspace() for ch in name):
-                raise PresentationError(f"invalid relator name {name!r}")
-            if name in seen:
-                raise PresentationError(f"duplicate relator name {name!r}")
-            seen.add(name)
+            check_name("relator", name, seen)
             if w.is_empty():
                 raise PresentationError(f"relator {name!r} is empty")
             for gname, _ in w:

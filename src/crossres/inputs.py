@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from itertools import groupby
 
 from .crossed import parse_crossed
-from .group_core import CayleyGraph, MaximalTree, Presentation
+from .group_core import CayleyGraph, MaximalTree, Presentation, check_name
 from .words import Word, parse_letters, parse_word, read_int
 
 
@@ -115,6 +115,12 @@ def parse_presentation(text: str, source: str = "<presentation>") -> Presentatio
             gens = tuple(line[len("gens:"):].split())
             if not gens:
                 raise InputError(f"{where}: `gens:` line names no generators")
+            names: set = set()
+            try:
+                for name in gens:
+                    check_name("generator", name, names)
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from None
             continue
         tokens = line.split()
         if tokens[0] != "rel":
@@ -127,10 +133,8 @@ def parse_presentation(text: str, source: str = "<presentation>") -> Presentatio
         if not sep or len(head_tokens) != 2:
             raise InputError(f"{where}: expected `rel <name> = <word>`")
         name = head_tokens[1]
-        if name in seen:
-            raise InputError(f"{where}: duplicate relator name {name!r}")
-        seen.add(name)
         try:
+            check_name("relator", name, seen)
             relators.append((name, read_relator(name, body.strip(), set(gens))))
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None

@@ -344,14 +344,13 @@ class H1Table:
 
     def __init__(self, contraction: Contraction0, entries):
         graph = contraction.graph
-        memo: dict = {}  # factor -> letters, for this table only
         for (g, k), c in entries.items():
             if (g, k) in contraction.tree:
                 raise ValueError(
                     f"h1 entry at tree edge ({graph.elt_name(g)!r}, "
                     f"{graph.gens[k]}): h1 is the empty consequence there")
             expected = contraction.rho(g, word(graph.gens[k]))
-            got = boundary2(c, graph.presentation, memo)
+            got = boundary2(c, graph.presentation)
             if got != expected:
                 raise ValueError(
                     f"h1 entry at edge ({graph.elt_name(g)!r}, {graph.gens[k]}) has "

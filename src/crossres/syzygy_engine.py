@@ -34,7 +34,7 @@ from .group_core import CayleyGraph, Contraction0, MaximalTree, Presentation, \
     enumerate_presentation, render_zg
 from .inputs import _parse_tag, read_relator
 from .logged_rewriter import H1Table, h1_eval
-from .words import GroupRingElt, Word, fox_derivative, read_int
+from .words import EMPTY, GroupRingElt, Word, fox_derivative, read_int
 from .zg_lattice import IntSpan, Lattice, OrbitLattice, TranslateTable, \
     expand, member_solve
 # unused here; bench/tracing.py looks them up in this module to time them
@@ -345,10 +345,11 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
 
     The proof's premises, each checked directly:
       - every `retr2` and `retr3` row holds, and every arrow with no h1
-        entry has the empty loop;
+        entry has the empty loop (one walk of the arrows checks both);
       - the levels run 3..N, each codomain is the basis of the level
         below (the relators at level 3), and no boundary uses a symbol
-        outside it;
+        outside it (a level's structural fault, computed once, is also
+        the first detail of its direct `exactness` row);
       - every `retr32`/`retr4` row holds, and every xi value uses only
         its own level's basis symbols;
       - each level's candidates equal, tag for tag and in number, the
@@ -367,10 +368,8 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     image has that rank and is saturated too.  The image is saturated when
     every pivot of its HNF is 1 (the minor on the pivot columns is
     unitriangular), and otherwise exactly when its transposed basis spans
-    all of Z^rank.  Each `exactness` row also requires that the level's
-    codomain is the basis of the level below, in order (the relators at
-    level 3), and that its boundaries use no other symbol; `detail` names
-    the first condition that failed.
+    all of Z^rank.  Each `exactness` row also requires that the level has
+    no structural fault; `detail` names the first condition that failed.
 
     Each map is one TranslateTable (delta_2 is the Fox matrix, built only
     when a premise fails).  `dd` rows push a level's boundaries through
@@ -380,6 +379,7 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     import random
     rng = random.Random(seed)
     graph, pres = state.graph, state.presentation
+    sigma, entries = state.contraction.sigma, state.h1.entries
     rows = []
 
     def add(check, level, element, ok, detail=""):
@@ -387,69 +387,80 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
 
     # retr2: sigma is a section of φ, based at the identity.
     for g in range(graph.order):
-        ok = graph.eval_word(state.contraction.sigma[g], 0) == g
+        ok = graph.eval_word(sigma[g], 0) == g
         add("retr2", 0, graph.elt_name(g), ok,
             "" if ok else "phi(sigma(g)) != g")
-    add("retr2", 0, "1", state.contraction.sigma[0].is_empty(),
-        "" if state.contraction.sigma[0].is_empty() else "sigma(1) != 1")
+    add("retr2", 0, "1", sigma[0].is_empty(),
+        "" if sigma[0].is_empty() else "sigma(1) != 1")
 
-    # retr3: h1 entries bound the tree-contracted loops.
-    letters: dict = {}  # factor -> boundary2 letters, for this call only
-    elts: dict = {}     # conjugator -> element, for this call only
-    for (g, k), c in sorted(state.h1.entries.items()):
-        want = state.contraction.rho(g, Word(((graph.gens[k], 1),)))
-        got = boundary2(c, pres, letters)
-        add("retr3", 1, f"({graph.elt_name(g)}, {graph.gens[k]})", got == want,
-            "" if got == want else f"boundary {got.render()} != {want.render()}")
+    # retr3: h1 entries bound the tree-contracted loops.  An arrow with
+    # no entry, where h1_eval reads 1, must have the empty loop: rho(g, x)
+    # = sigma(g) x sigma(g.x)^-1 is empty when sigma(g) x reduces to the
+    # reduced word sigma(g.x).  The walk is in (g, k) order, so the rows
+    # come in sorted(entries) order.
+    loops = True
+    for g in range(graph.order):
+        for k, x in enumerate(graph.gens):
+            c, letter = entries.get((g, k)), Word(((x, 1),))
+            if c is None:
+                loops = loops and sigma[g] * letter == sigma[graph.fwd[g][k]]
+                continue
+            want = state.contraction.rho(g, letter)
+            got = boundary2(c, pres)
+            add("retr3", 1, f"({graph.elt_name(g)}, {x})", got == want,
+                "" if got == want else f"boundary {got.render()} != {want.render()}")
 
-    tables = {n: TranslateTable(graph, level.codomain, level.boundary)
-              for n, level in state.levels.items()}
     # retraction: delta_n(xi tag) == candidate form, all tags; checked
-    # before the rows they come after, as premises of the proof
-    retraction = {}
-    for n, level in state.levels.items():
+    # before the rows they come after, as premises of the proof.  Each
+    # level's structural fault is found here too, once: a premise, and
+    # the first detail of its direct exactness row.
+    tables, retraction, structure = {}, {}, {}
+    below = pres.relator_names()
+    for n in sorted(state.levels):
+        level = state.levels[n]
+        table = tables[n] = TranslateTable(graph, level.codomain, level.boundary)
         name = "retr32" if n == 3 else "retr4"
         retraction[n] = out = []
         for cand in level.candidates:
-            diff = tables[n].image(level.xi[cand.tag], cand.form)
+            diff = table.image(level.xi[cand.tag], cand.form)
             ok = diff is not None and not any(diff)
             out.append((name, n, _tag_text(graph, cand.tag), ok,
                         "" if ok else "delta(xi) != candidate form"))
-    proved = (all(r[3] for r in rows)
+        structure[n] = ("codomain is not the basis of the level below"
+                        if level.codomain != below else
+                        "a boundary uses a symbol outside the codomain"
+                        if table.extra else "")
+        below = [sym for sym, _ in level.basis]
+    proved = (loops and all(r[3] for r in rows)
               and all(r[3] for out in retraction.values() for r in out)
-              and _homotopy_premises(state, tables))
-    below = pres.relator_names()  # the basis below the exactness row's level
+              and not any(structure.values()) and _homotopy_premises(state))
     if not proved:  # delta_2, the Fox matrix, is read only by direct checks
         fox = tables[2] = TranslateTable(graph, pres.generators,
                                          fox_matrix_map(pres, graph))
-        below_rank = Lattice(fox.width, fox.rows(below)).rank
+        below_rank = Lattice(fox.width, fox.rows(pres.relator_names())).rank
 
-    dd_ok: dict[int, bool] = {}
+    exactness = []
     for n in sorted(state.levels):
-        level, lower = state.levels[n], tables.get(n - 1)
+        level, table, lower = state.levels[n], tables[n], tables.get(n - 1)
         # stored crossed forms agree with stored module forms (level 3)
         if n == 3:
             for cand in level.candidates:
                 text = _tag_text(graph, cand.tag)
-                if proved:
-                    add("consistency", n, text, True)
-                    add("dd", n, text, True)
-                    continue
-                ok = abelianise(cand.crossed_form, graph, elts) == cand.form
+                ok = proved or abelianise(cand.crossed_form, graph) == cand.form
                 add("consistency", n, text, ok,
                     "" if ok else "abelianised crossed form != module form")
-                w = boundary2(cand.crossed_form, pres, letters)
+                w = EMPTY if proved else boundary2(cand.crossed_form, pres)
                 add("dd", n, text, w.is_empty(),
                     "" if w.is_empty() else
                     f"boundary2 of delta3 reduces to {w.render()}, not 1")
         # dd = 0 for stored boundaries
-        dd_ok[n] = True
+        dd_ok = True
         for sym, _tag in level.basis:
             ok = proved or (lower is not None
                             and not any(lower.image(level.boundary[sym])))
             add("dd", n, sym, ok, "" if ok else "delta(delta(sym)) != 0"
                 if lower else f"level {n - 1} is missing")
-            dd_ok[n] = dd_ok[n] and ok
+            dd_ok = dd_ok and ok
         rows += retraction[n]
         # retr5: the homotopy's lookup for h(h.g, e_prev . g), at
         # (h.g.g^-1, prev), resolves to the base entry (the action-killing
@@ -462,22 +473,17 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 ok = level.xi[(moved, prev)] == level.xi[(h, prev)]
                 add("retr5", n, _tag_text(graph, (h, prev)), ok,
                     "" if ok else "translated lookup mismatch")
-
-    # exactness: proved, or image of delta_n equals kernel of delta_{n-1}
-    # by rank and saturation (see the docstring)
-    for n in sorted(state.levels):
-        level, table = state.levels[n], tables[n]
+        # exactness: proved, or image of delta_n equals kernel of delta_{n-1}
+        # by rank and saturation (see the docstring)
         element = f"image(delta{n}) vs kernel(delta{n - 1})"
         if proved:
-            add("exactness", n - 1, element, True)
+            exactness.append(("exactness", n - 1, element, True, ""))
             continue
         image = Lattice(table.width, table.rows([s for s, _ in level.basis]))
         want = image.ambient - below_rank
-        if level.codomain != below:
-            detail = "codomain is not the basis of the level below"
-        elif table.extra:
-            detail = "a boundary uses a symbol outside the codomain"
-        elif not dd_ok[n]:
+        if structure[n]:
+            detail = structure[n]
+        elif not dd_ok:
             detail = "image not in kernel"
         elif image.rank != want:
             detail = f"image rank {image.rank} != kernel rank {want}"
@@ -485,39 +491,28 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
             detail = "image lattice is not saturated"
         else:
             detail = ""
-        add("exactness", n - 1, element, not detail, detail)
-        below, below_rank = [s for s, _ in level.basis], image.rank
+        exactness.append(("exactness", n - 1, element, not detail, detail))
+        below_rank = image.rank
+    rows += exactness
 
     return all(r[3] for r in rows), rows
 
 
-def _homotopy_premises(state: ResolutionState, tables) -> bool:
-    """verify_state's premises of the homotopy proof beyond its retr rows:
-    every arrow without an h1 entry (where h1_eval reads 1) has the empty
-    loop; the levels run 3..N, each on the basis below with no symbol
-    outside it and every xi value on its own basis; and every level's
-    candidates and kept boundaries are the recomputed ones, each form
-    compared with `_candidate_sums`' coefficient sums as they are.  Each
-    check makes the next one's lookups well defined."""
-    graph, sigma = state.graph, state.contraction.sigma
-    # rho(g, x) = sigma(g) x sigma(g.x)^-1 is empty when sigma(g) x
-    # reduces to the reduced word sigma(g.x)
-    for g in range(graph.order):
-        for k, x in enumerate(graph.gens):
-            if ((g, k) not in state.h1.entries
-                    and sigma[g] * Word(((x, 1),)) != sigma[graph.fwd[g][k]]):
-                return False
+def _homotopy_premises(state: ResolutionState) -> bool:
+    """verify_state's premises of the homotopy proof beyond its retr rows,
+    its arrow walk and its structural faults: the levels run 3..N, every
+    xi value is on its own basis, and every level's candidates and kept
+    boundaries are the recomputed ones, each form compared with
+    `_candidate_sums`' coefficient sums as they are.  Each check makes the
+    next one's lookups well defined."""
     levels = sorted(state.levels)
     if levels != list(range(3, 3 + len(levels))):
         return False
-    below = state.presentation.relator_names()
     for n in levels:
         level = state.levels[n]
         kept = {sym for sym, _ in level.basis}
-        if (level.codomain != below or tables[n].extra
-                or any(s not in kept for m in level.xi.values() for s in m.coords)):
+        if any(s not in kept for m in level.xi.values() for s in m.coords):
             return False
-        below = [sym for sym, _ in level.basis]
     for n in levels:
         level = state.levels[n]
         fresh = {tag: (total, crossed)

@@ -71,13 +71,16 @@ class TestParsePresentation:
         ("gens: x\nrel r = x^0\n", 2, "is empty"),
         ("gens: x\nrel r = x x^-1 x\n", 2, "not freely reduced"),
         ("gens: x\nrel r = x^3\nrel r = x^2\n", 3, "duplicate relator"),
+        ("gens: x x\nrel r = x^2\n", 1, "duplicate generator name 'x'"),
+        ("gens: x y@\nrel r = x^2\n", 1, "invalid generator name 'y@'"),
+        ("gens: x\nrel a@b = x^3\n", 2, "invalid relator name 'a@b'"),
     ])
     def test_errors_carry_line_numbers(self, text, lineno, fragment):
         with pytest.raises(InputError) as err:
             parse_presentation(text, "f.pres")
         message = str(err.value)
         assert fragment in message
-        assert f"f.pres:{lineno}" in message or message.startswith("f.pres:")
+        assert message.startswith(f"f.pres:{lineno}: ")
 
     def test_missing_gens(self):
         with pytest.raises(InputError, match="missing `gens:`"):
@@ -266,7 +269,7 @@ class TestMain:
         pres.write_text("gens: x\nrel a@b = x^3\n")
         assert main([str(pres), "--verify", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err \
-            == f"error: {pres}: invalid relator name 'a@b'\n"
+            == f"error: {pres}:2: invalid relator name 'a@b'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("level, body, line, text", [

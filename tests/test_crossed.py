@@ -85,14 +85,6 @@ def test_abelianise_of_action_translates(s3_graph, a, u):
         == abelianise(a, s3_graph).translated(s3_graph, s3_graph.eval_word(u))
 
 
-@given(st.lists(crossed_elts, max_size=4))
-def test_abelianise_memo_is_transparent(s3_graph, elts):
-    memo: dict = {}
-    for a in elts:
-        assert abelianise(a, s3_graph, memo) == abelianise(a, s3_graph)
-    assert all(s3_graph.eval_word(u) == g for u, g in memo.items())
-
-
 def test_abelianise_frozen(s3_graph):
     c = mult(crossed("r", 1, parse_word("x")),
              act(crossed("s", -1), parse_word("x")))
@@ -207,17 +199,3 @@ def crossed_over(pres):
 def test_boundary2_matches_product_reference(case):
     pres, a = case
     assert boundary2(a, pres) == boundary2_reference(a, pres)
-
-
-@given(st.sampled_from(PRESENTATIONS).flatmap(
-    lambda pres: st.tuples(st.just(pres),
-                           st.lists(crossed_over(pres), min_size=1, max_size=4))))
-def test_boundary2_memo_gives_the_same_words(case):
-    """One memo shared across many elements, as a caller keeps it across
-    its calls, gives every element the word it gets with no memo, and
-    holds each distinct factor once."""
-    pres, elts = case
-    memo: dict = {}
-    for a in elts + elts:
-        assert boundary2(a, pres, memo) == boundary2(a, pres)
-    assert set(memo) == {f for a in elts for f in a.factors}

@@ -21,7 +21,7 @@ from crossres.syzygy_engine import (Candidate, ResolutionState,
                                     next_candidates, order_candidates,
                                     reduce_level)
 from crossres.words import EMPTY, GroupRingElt, parse_word, word
-from crossres.zg_lattice import OrbitLattice, TranslateTable, kernel_lattice
+from crossres.zg_lattice import OrbitLattice, kernel_lattice
 from conftest import data_path, s3_config, scaled
 
 
@@ -807,7 +807,7 @@ def _map_rows(graph, dom_basis, codom_basis, mapping):
 
 def _reference_verify(state, samples=50, seed=0):
     """verify_state's checks made the direct way: apply_map per boundary
-    and certificate, boundary2 with no memo, and exactness lattices from
+    and certificate, boundary2 per element, and exactness lattices from
     `_map_rows`.  Same rows, in the same order, with the same details."""
     import random
     rng = random.Random(seed)
@@ -1101,6 +1101,37 @@ def test_verify_falls_back_to_the_direct_checks_on_faulty_states(
         assert (ok, rows) == _reference_verify(state, samples=2), (n, fault)
 
 
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_verify_checks_every_arrow(data):
+    """One h1 fault at an arrow drawn from the whole grid, not only at the
+    first entry: a non-tree entry deleted, an identity among relations
+    appended to an entry, or a trivial or identity-valued entry put on a
+    tree arrow.  Level 3 alone is then rebuilt on the faulty h1 or not, so
+    the fault is seen by the arrow walk alone or by the candidates too.
+    verify_state then gives the rows of the direct-way reference."""
+    name = data.draw(st.sampled_from(["s3-L4"] + sorted(_EXACTNESS_STATES)))
+    state = import_json(_built_text(name))
+    entries = state.h1.entries
+    identities = [c.crossed_form for c in state.levels[3].candidates
+                  if c.crossed_form.factors]
+    kind = data.draw(st.sampled_from(["drop", "append", "tree"]))
+    if kind == "tree":
+        arrow = data.draw(st.sampled_from(sorted(state.tree.edges)))
+        entries[arrow] = data.draw(st.sampled_from([CrossedElt()] + identities))
+    else:
+        arrow = data.draw(st.sampled_from(sorted(entries)))
+        if kind == "drop":
+            del entries[arrow]
+        else:
+            identity = data.draw(st.sampled_from(identities))
+            entries[arrow] = CrossedElt(entries[arrow].factors + identity.factors)
+    if data.draw(st.booleans()):
+        state.levels.clear()
+        extend_resolution(state, 3)
+    assert verify_state(state, samples=2) == _reference_verify(state, samples=2)
+
+
 @pytest.mark.parametrize("name", ["s3-L4"] + sorted(_EXACTNESS_STATES))
 def test_verify_proves_clean_states_without_a_lattice(name, monkeypatch):
     """On a clean state the homotopy proves exactness: no Lattice and no
@@ -1209,9 +1240,7 @@ def test_verify_refuses_an_injected_candidate_fault(data):
     n = data.draw(st.sampled_from(sorted(state.levels)))
     i, cand = _faulty_candidate(data, state, n)
     state.levels[n].candidates[i] = cand
-    tables = {m: TranslateTable(state.graph, level.codomain, level.boundary)
-              for m, level in state.levels.items()}
-    assert not syzygy_engine._homotopy_premises(state, tables)
+    assert not syzygy_engine._homotopy_premises(state)
     assert verify_state(state, samples=2) == _reference_verify(state, samples=2)
 
 

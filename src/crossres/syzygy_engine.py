@@ -224,7 +224,8 @@ def reduce_level(state: ResolutionState, n: int, candidates,
     table = TranslateTable(graph, codomain, {})
     basis: list[tuple[str, Tag]] = []
     for cand in candidates:
-        if not span.contains(expand(graph, codomain, cand.form)):
+        # a zero form lies in every span
+        if cand.form and not span.contains(expand(graph, codomain, cand.form)):
             sym = f"b{n}_{len(basis) + 1}"
             basis.append((sym, cand.tag))
             table.add(sym, cand.form)

@@ -16,7 +16,10 @@ once, and the greedy peel updates only the translates that touch the
 positions a move changes.  The HNF steps apply the same quotients in
 the same order as full-row updates, and the peel scores every move
 exactly as a rescan of every translate would, so every result is the
-same as with dense loops.
+same as with dense loops.  The peel answers a zero target, and a target
+that is one signed translate, from the position index before any setup:
+the move that empties the residual is the one its scan would choose
+first.
 
 A `TranslateTable` lists each right translate mapping[b].g of a ZG-linear
 map's images once, as such pairs read off the Cayley graph's columns.
@@ -27,6 +30,8 @@ level for its span rows and certificate checks, and every replay check of
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .crossed import ZERO_MODULE, ModuleElt
 from .words import GroupRingElt
@@ -47,8 +52,10 @@ def expand(graph, basis, m: ModuleElt) -> list[int]:
 
 
 def _nonzero(row, start=0):
-    """The (column, value) pairs of `row`'s nonzero entries from `start` on."""
-    return [(c, a) for c, a in enumerate(row[start:], start) if a]
+    """The (column, value) pairs of `row`'s nonzero entries from `start` on.
+    The rows are mostly zeros, and `compress` skips those without a
+    Python step each."""
+    return [(c, row[c]) for c in compress(range(start, len(row)), row[start:])]
 
 
 def _hnf_in_place(rows, width, reduced=None):
@@ -300,11 +307,36 @@ def _greedy_certificate(lat: OrbitLattice, vec):
     positions have their sums updated.  A translate that touches no
     nonzero residual position has both sums 0 and changes the norm by
     +W >= 0, so the strict `< 0` test never chooses it.  The deltas, keys
-    and choice are those of a rescan of every translate's support."""
+    and choice are those of a rescan of every translate's support.
+
+    Two targets are answered before that setup, from the target's
+    nonzero pairs.  A zero target gets the empty certificate.  A target
+    equal to s.t for a translate t is answered with that one move, t
+    found among the translates `lat._by_position` lists at the target's
+    first nonzero position.  It is the peel's own first move: a move
+    that empties the residual has key (0, flag, g, j), below every other
+    key, and only a move with s.t equal to the target empties it, so
+    s = +1 comes before s = -1 and equal translates tie on (g, j) as in
+    the scan."""
     n = lat.graph.order
     cert = [dict() for _ in lat.gens]
-    rem = list(vec)
+    pairs = _nonzero(vec)
+    if not pairs:
+        return cert
     supports, weights, by_position = lat._supports, lat._weights, lat._by_position
+    size = sum(abs(a) for _, a in pairs)
+    # one signed translate s.t: such a t is nonzero at the first position
+    p, a = pairs[0]
+    plus, minus = by_position[p]
+    for s, at_p in ((1, plus), (-1, minus)) if a > 0 else ((1, minus), (-1, plus)):
+        hits = [i for i, v in at_p if v == abs(a) and weights[i] == size
+                and len(supports[i]) == len(pairs)
+                and all(vec[q] == s * w for q, w in supports[i])]
+        if hits:
+            j, g = divmod(min(hits, key=lambda i: (i % n, i)), n)
+            cert[j][g] = s
+            return cert
+    rem = list(vec)
     same, other = [0] * len(supports), [0] * len(supports)
 
     def tally(p, k):
@@ -320,10 +352,8 @@ def _greedy_certificate(lat: OrbitLattice, vec):
         for i, v in differ:
             other[i] += k if v == 1 else k * min(a, v)
 
-    for p, a in enumerate(rem):
-        if a:
-            tally(p, 1)
-    size = sum(abs(a) for a in rem)
+    for p, _ in pairs:
+        tally(p, 1)
     while size:
         best = None
         for i, w in enumerate(weights):
@@ -355,7 +385,10 @@ def member_solve(lat: OrbitLattice, target: ModuleElt):
 
     The certificate is the greedy small-support solution when the peeling
     search reaches zero (it reproduces hand-computed retraction tables,
-    and reaching zero proves membership).  Otherwise it is the HNF
+    and reaching zero proves membership).  A zero target, or one that is
+    a signed translate of a generator, is answered by the peel from its
+    position index without a search, with the move the search would make
+    first (see `_greedy_certificate`).  Otherwise it is the HNF
     solution v reduced modulo the relation lattice K of the generator
     translates.  K is kept as the echelon basis that the HNF of [T | I]
     leaves, with positive pivots d_k in columns p_k, not reduced above

@@ -141,6 +141,33 @@ class TestReduction:
         with pytest.raises(ValueError, match="not rejected"):
             reduce_level(scratch, 3, cands, bad)
 
+    _S3_ZERO_FORMS = ["1 r", "1 s", "1 t", "x s", "y r", "y t"]
+
+    @pytest.mark.parametrize("listed", [["1 r"], _S3_ZERO_FORMS[::-1]],
+                             ids=["1-r", "all-zero-forms"])
+    def test_zero_forms_first_keep_the_declared_basis(self, tmp_path, listed):
+        """S3's six zero level-3 forms are never kept, however early they
+        come, and each gets the empty certificate."""
+        declared = fresh_state(max_level=3, order="declared")
+        path = tmp_path / "zero.order"
+        path.write_text("[level 3]\n" + "\n".join(listed) + "\n")
+        state = fresh_state(max_level=3, order=str(path))
+        graph, level = state.graph, state.levels[3]
+        zero = [(graph.elt_name(c.tag[0]), c.tag[1])
+                for c in level.candidates if not c.form]
+        assert sorted(zero) == sorted(tuple(t.split()) for t in self._S3_ZERO_FORMS)
+        assert level.basis == declared.levels[3].basis
+        assert all(level.xi[c.tag] == ModuleElt() for c in level.candidates
+                   if not c.form)
+
+    def test_pin_on_a_zero_form_rejected(self, tmp_path):
+        """A zero form skips the span test but not its pin's replay."""
+        path = tmp_path / "zero-pin.order"
+        path.write_text("[xi 3]\n1 r := b3_1 @ 1\n")
+        with pytest.raises(ValueError,
+                           match="does not replay to the candidate form"):
+            fresh_state(max_level=3, order=str(path))
+
     def test_pin_for_unknown_tag_rejected(self, s3_state):
         cands = order_candidates(level3_candidates(s3_state))
         scratch = ResolutionState(s3_state.h1)

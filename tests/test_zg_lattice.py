@@ -509,3 +509,37 @@ def test_greedy_matches_reference(s3_graph, gen_vecs, twin, coeffs, arbitrary,
             vec = [a + c * b for a, b in zip(vec, row)]
     target = unexpand(s3_graph, basis, vec)
     assert _greedy_certificate(lat, vec) == greedy_certificate_reference(lat, target)
+
+
+@settings(deadline=None)
+@given(st.lists(s3_vectors, min_size=1, max_size=2), st.none() | st.integers(0, 5),
+       st.sampled_from(["zero", "plus", "minus", "changed"]), st.integers(0, 11),
+       st.integers(0, 11), st.sampled_from([1, -1, 2]), st.booleans())
+def test_greedy_forced_moves_match_reference(s3_graph, gen_vecs, twin, kind,
+                                             pick, where, delta, negate):
+    """The targets the peel answers before its search: zero, one signed
+    translate +t or -t, and t with one entry changed, which falls through
+    to the search.  With a twin translate, equal translates tie and the
+    element and generator tie-breaks decide which one is the move; a
+    negated twin makes +t and -t both one move, and +1 must win."""
+    basis = ["r", "s"]
+    gens = [unexpand(s3_graph, basis, v) for v in gen_vecs]
+    if twin is not None:
+        gens.append(gens[0].translated(s3_graph, twin))
+        if negate:
+            gens[-1] = -gens[-1]
+    lat = OrbitLattice(s3_graph, basis, gens)
+    i = pick % (6 * len(gens))
+    t = expand(s3_graph, basis, gens[i // 6].translated(s3_graph, i % 6))
+    vec = {"zero": [0] * 12, "plus": t, "minus": [-a for a in t],
+           "changed": list(t)}[kind]
+    if kind == "changed":
+        vec[where] += delta
+    target = unexpand(s3_graph, basis, vec)
+    got = _greedy_certificate(lat, vec)
+    assert got == greedy_certificate_reference(lat, target)
+    if kind == "zero":
+        assert got == [{} for _ in gens]
+    elif kind != "changed" and any(t):
+        # a single move of sign +-1
+        assert [c for d in got for c in d.values()] in ([1], [-1])

@@ -23,6 +23,9 @@ Powers, multipliers and level numbers are ASCII decimal integers with an
 optional `-` and no leading zero (`words.read_int`): `x^1_0`, `x^+2`,
 `x^02` and `[level ３]` are refused.  A zero power still names a
 generator: `x^0` is the empty word, `z^0` with no generator `z` is refused.
+A word may expand to at most `words.MAX_WORD_LETTERS` (2^20) letters as
+written, counted from its powers before any letter is built, so
+`x^2000000` is refused at its line without the allocation.
 
 Every reader raises InputError, whose message starts with `path:line:`
 for a fault on one line and with `path:` for a fault of the whole file

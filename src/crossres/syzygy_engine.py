@@ -347,17 +347,16 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     The proof's premises, each checked directly:
       - every `retr2` and `retr3` row holds, and every arrow with no h1
         entry has the empty loop (one walk of the arrows checks both);
-      - the levels run 3..N, each codomain is the basis of the level
-        below (the relators at level 3), and no boundary uses a symbol
-        outside it (a level's structural fault, computed once, is also
-        the first detail of its direct `exactness` row);
-      - every `retr32`/`retr4` row holds, and every xi value uses only
-        its own level's basis symbols;
-      - each level's candidates equal, tag for tag and in number, the
-        ones `_candidate_sums` recomputes for `level3_candidates` and
-        `next_candidates` (module form as coefficient sums, and crossed
-        form at level 3), and each kept symbol's boundary is its tag's
-        form.
+      - then level by level, in the loop that replays xi: the levels
+        run 3..N so far; the level's `retr32`/`retr4` rows hold (an xi
+        entry that is missing, or that names a symbol with no boundary,
+        fails its row); its codomain is the basis of the level below
+        (the relators at level 3) and no boundary leaves it (its
+        structural fault, computed once, is also the first detail of its
+        direct `exactness` row); every xi value uses only its basis; and
+        its candidates and kept boundaries are the ones `_candidate_sums`
+        recomputes (`_recomputed`).  Each premise guards the lookups of
+        the next, and the level above is recomputed from this one.
     When they all hold, the `exactness` rows, the `dd` rows and the
     level-3 `consistency` rows are written ok without being computed.
     When any fails, each of those rows is checked directly, as follows.
@@ -412,18 +411,20 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 "" if got == want else f"boundary {got.render()} != {want.render()}")
 
     # retraction: delta_n(xi tag) == candidate form, all tags; checked
-    # before the rows they come after, as premises of the proof.  Each
-    # level's structural fault is found here too, once: a premise, and
-    # the first detail of its direct exactness row.
+    # before the rows they come after, with the other premises of each
+    # level (see the docstring), and the level's structural fault: a
+    # premise, and the first detail of its direct exactness row.
     tables, retraction, structure = {}, {}, {}
     below = pres.relator_names()
-    for n in sorted(state.levels):
+    proved = loops and all(r[3] for r in rows)
+    for i, n in enumerate(sorted(state.levels)):
         level = state.levels[n]
         table = tables[n] = TranslateTable(graph, level.codomain, level.boundary)
         name = "retr32" if n == 3 else "retr4"
         retraction[n] = out = []
         for cand in level.candidates:
-            diff = table.image(level.xi[cand.tag], cand.form)
+            xi = level.xi.get(cand.tag)
+            diff = None if xi is None else table.image(xi, cand.form)
             ok = diff is not None and not any(diff)
             out.append((name, n, _tag_text(graph, cand.tag), ok,
                         "" if ok else "delta(xi) != candidate form"))
@@ -432,9 +433,10 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                         "a boundary uses a symbol outside the codomain"
                         if table.extra else "")
         below = [sym for sym, _ in level.basis]
-    proved = (loops and all(r[3] for r in rows)
-              and all(r[3] for out in retraction.values() for r in out)
-              and not any(structure.values()) and _homotopy_premises(state))
+        proved = (proved and n == 3 + i and all(r[3] for r in out)
+                  and not structure[n]
+                  and all(s in below for m in level.xi.values() for s in m.coords)
+                  and _recomputed(state, n))
     if not proved:  # delta_2, the Fox matrix, is read only by direct checks
         fox = tables[2] = TranslateTable(graph, pres.generators,
                                          fox_matrix_map(pres, graph))
@@ -457,8 +459,8 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
         # dd = 0 for stored boundaries
         dd_ok = True
         for sym, _tag in level.basis:
-            ok = proved or (lower is not None
-                            and not any(lower.image(level.boundary[sym])))
+            diff = None if proved or lower is None else lower.image(level.boundary[sym])
+            ok = proved or (diff is not None and not any(diff))
             add("dd", n, sym, ok, "" if ok else "delta(delta(sym)) != 0"
                 if lower else f"level {n - 1} is missing")
             dd_ok = dd_ok and ok
@@ -471,7 +473,8 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
                 h, prev = rng.choice(level.candidates).tag
                 g = rng.randrange(graph.order)
                 moved = graph.mult(graph.mult(h, g), graph.inv_elt(g))
-                ok = level.xi[(moved, prev)] == level.xi[(h, prev)]
+                xi = level.xi.get((h, prev))
+                ok = xi is not None and level.xi.get((moved, prev)) == xi
                 add("retr5", n, _tag_text(graph, (h, prev)), ok,
                     "" if ok else "translated lookup mismatch")
         # exactness: proved, or image of delta_n equals kernel of delta_{n-1}
@@ -499,37 +502,20 @@ def verify_state(state: ResolutionState, samples: int = 50, seed: int = 0):
     return all(r[3] for r in rows), rows
 
 
-def _homotopy_premises(state: ResolutionState) -> bool:
-    """verify_state's premises of the homotopy proof beyond its retr rows,
-    its arrow walk and its structural faults: the levels run 3..N, every
-    xi value is on its own basis, and every level's candidates and kept
-    boundaries are the recomputed ones, each form compared with
-    `_candidate_sums`' coefficient sums as they are.  Each check makes the
-    next one's lookups well defined."""
-    levels = sorted(state.levels)
-    if levels != list(range(3, 3 + len(levels))):
-        return False
-    for n in levels:
-        level = state.levels[n]
-        kept = {sym for sym, _ in level.basis}
-        if any(s not in kept for m in level.xi.values() for s in m.coords):
-            return False
-    for n in levels:
-        level = state.levels[n]
-        fresh = {tag: (total, crossed)
-                 for tag, total, crossed in _candidate_sums(state, n)}
-        if len(level.candidates) != len(fresh):
-            return False
-        stored = {c.tag: c for c in level.candidates}
-        for tag, (total, crossed) in fresh.items():
-            cand = stored.get(tag)
-            if (cand is None or cand.crossed_form != crossed
-                    or not _is_form(cand.form, total)):
-                return False
-        if any(tag not in stored or level.boundary.get(sym) != stored[tag].form
-               for sym, tag in level.basis):
-            return False
-    return True
+def _recomputed(state: ResolutionState, n: int) -> bool:
+    """Whether level n's candidates equal, tag for tag and in number, the
+    ones `_candidate_sums` recomputes (each form compared with its
+    coefficient sums as they are, and the crossed form at level 3), and
+    each kept symbol's boundary is its tag's form."""
+    level = state.levels[n]
+    fresh = {tag: rest for tag, *rest in _candidate_sums(state, n)}
+    stored = {c.tag: c for c in level.candidates}
+    return (len(level.candidates) == len(fresh)
+            and all(tag in stored and stored[tag].crossed_form == crossed
+                    and _is_form(stored[tag].form, total)
+                    for tag, (total, crossed) in fresh.items())
+            and all(tag in stored and level.boundary.get(sym) == stored[tag].form
+                    for sym, tag in level.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +704,12 @@ def import_json(text: str) -> ResolutionState:
     or tag, a tree edge, candidate, basis symbol or basis tag listed
     twice, a ring that names one element twice, a coefficient text
     export_json does not write (`_coefficient`), candidate tags other than
-    G x codomain, an xi that does not cover exactly the candidate tags, a
-    level-3 candidate without a crossed form, a kept symbol whose stored
-    boundary or crossed form is not its candidate's, and (by H1Table) an
-    h1 entry on a tree arrow.  A key written twice in one JSON object is
-    not seen: json.loads keeps the last."""
+    G x codomain, a keyed field of a level with other keys than the level
+    defines (one rule for all four), an xi value off its level's basis, a
+    kept symbol whose stored boundary or crossed form is not its
+    candidate's, and (by H1Table) an h1 entry on a tree arrow.  A key
+    written twice in one JSON object is not seen: json.loads keeps the
+    last."""
     doc = json.loads(text)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
@@ -810,21 +797,16 @@ def import_json(text: str) -> ResolutionState:
         for i, what in enumerate(("symbol", "tag")):
             if len({b[i] for b in basis}) != len(basis):
                 raise ValueError(f"{where}: the basis lists a {what} twice")
-        crossed_forms = tagged(_field(entry, "candidates_crossed", where, dict, {})
-                               if n == 3 else {}, "candidates_crossed", where,
-                               parse_form)
+        crossed_forms = tagged(_field(entry, "candidates_crossed", where, dict, {}),
+                               "candidates_crossed", where, parse_form)
         by_tag, at = {}, f"{where}: candidate tag"
         for c in _field(entry, "candidates", where, list):
             tag = pair_tag(_field(c, "tag", where, list), at)
             if tag in by_tag:
                 raise ValueError(f"{where}: tag {_tag_text(graph, tag)} is "
                                  f"listed twice among the candidates")
-            cf = crossed_forms.get(tag)
-            if n == 3 and cf is None:
-                raise ValueError(f"level 3: candidate {_tag_text(graph, tag)} "
-                                 f"has no crossed form")
             by_tag[tag] = Candidate(tag, module(_field(c, "form", where), where),
-                                    cf)
+                                    crossed_forms.get(tag))
         # the candidates are G x codomain, as the level below gives them
         codomain = _field(entry, "codomain", where, list)
         for tag in by_tag:
@@ -834,20 +816,37 @@ def import_json(text: str) -> ResolutionState:
         if len(by_tag) != graph.order * len(codomain):
             raise ValueError(f"{where}: {len(by_tag)} candidates, not |G| x "
                              f"|codomain| = {graph.order * len(codomain)}")
+        # xi and candidates_crossed are keyed by exactly the candidate
+        # tags, boundary and crossed by exactly the kept symbols, and the
+        # crossed fields hold entries at level 3 only
+        kept = {sym for sym, _ in basis}
         xi = tagged(_field(entry, "xi", where), "xi", where, module)
-        # verify_state replays xi at every candidate tag, and only there
-        odd = sorted(xi.keys() ^ by_tag.keys())
-        if odd:
-            what = ("has an xi entry but is not a candidate" if odd[0] in xi
-                    else "is a candidate with no xi entry")
-            raise ValueError(f"{where}: tag {_tag_text(graph, odd[0])} {what}")
-        # the Level derives a kept symbol's boundary (and level-3 crossed
-        # form) from its candidate, so the stored copies must agree
         boundary = _field(entry, "boundary", where)
         crossed = _field(entry, "crossed", where, dict, {})
+        for field, entries, want, kind in (
+                ("xi", xi, by_tag, "candidate"),
+                ("candidates_crossed", crossed_forms, by_tag if n == 3 else (),
+                 "level-3 candidate"),
+                ("boundary", boundary, kept, "kept symbol"),
+                ("crossed", crossed, kept if n == 3 else (), "level-3 kept symbol")):
+            odd = sorted(entries.keys() ^ want)
+            if odd:
+                name = (f"tag {_tag_text(graph, odd[0])}"
+                        if kind.endswith("candidate") else f"symbol {odd[0]}")
+                what = (f"has {'an' if field == 'xi' else 'a'} {field} entry but "
+                        f"is not a {kind}" if odd[0] in entries
+                        else f"is a {kind} with no {field} entry")
+                raise ValueError(f"{where}: {name} {what}")
+        for tag, m in xi.items():
+            for sym in m.coords.keys() - kept:
+                raise ValueError(f"{where}: the xi value of tag "
+                                 f"{_tag_text(graph, tag)} uses {sym}, which "
+                                 f"is not a kept symbol")
+        # a kept symbol's stored boundary and crossed form must be the
+        # ones the Level derives from its candidate
         for sym, tag in basis:
             cf = crossed.get(sym)
-            stored = (module(_field(boundary, sym, where), where),
+            stored = (module(boundary[sym], where),
                       cf and parse_form(cf, f"{where}: crossed form of {sym}"))
             cand = by_tag.get(tag)
             if cand is None or stored != (cand.form, cand.crossed_form):

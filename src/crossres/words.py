@@ -111,15 +111,21 @@ def word(name: str, sign: int = 1) -> Word:
     return Word(((name, sign),))
 
 
+# The most letters a word may expand to; counted from its powers before
+# any letter is built, so `x^2000000` is refused without the allocation.
+MAX_WORD_LETTERS = 1 << 20
+
+
 def parse_letters(text: str, generators=None) -> list[Letter]:
     """The letters of caret-power word syntax as written, before free
     reduction: whitespace-separated tokens like `x`, `x^3`, `x^-1`, each
     power read by `read_int` (a zero power still names a generator); the
-    token `1` alone is the empty word."""
+    token `1` alone is the empty word.  A word of more than
+    MAX_WORD_LETTERS letters is refused."""
     tokens = text.split()
     if tokens == ["1"]:
         return []
-    letters: list[Letter] = []
+    powers: list[tuple[str, int]] = []
     for tok in tokens:
         name, sep, power_text = tok.partition("^")
         if sep:
@@ -132,9 +138,12 @@ def parse_letters(text: str, generators=None) -> list[Letter]:
             raise ValueError(f"malformed word token {tok!r}")
         if generators is not None and name not in generators:
             raise ValueError(f"unknown generator {name!r} in word {text!r}")
-        sign = 1 if power > 0 else -1
-        letters.extend((name, sign) for _ in range(abs(power)))
-    return letters
+        powers.append((name, power))
+    if sum(abs(power) for _, power in powers) > MAX_WORD_LETTERS:
+        raise ValueError(f"word {text!r} expands to more than "
+                         f"{MAX_WORD_LETTERS} letters")
+    return [(name, 1 if power > 0 else -1)
+            for name, power in powers for _ in range(abs(power))]
 
 
 def parse_word(text: str, generators=None) -> Word:

@@ -463,7 +463,8 @@ class TranslateTable:
 
     def image(self, m: ModuleElt, minus: ModuleElt = ZERO_MODULE):
         """The expanded image of m minus the expansion of `minus`, as a
-        dense list; None if `minus` uses a symbol that no image can."""
+        dense list; None if `minus` uses a symbol that no image can, or m
+        one that has no translates."""
         vec = [0] * self.width
         for sym, ring in minus.coords.items():
             if sym not in self.index:
@@ -471,7 +472,9 @@ class TranslateTable:
             for g, c in ring.coeffs.items():
                 vec[self.index[sym] + g] = -c
         for sym, ring in m.coords.items():
-            rows = self.translates[sym]
+            rows = self.translates.get(sym)
+            if rows is None:
+                return None
             for g, c in ring.coeffs.items():
                 for p, v in rows[g]:
                     vec[p] += c * v

@@ -67,6 +67,8 @@ class TestParsePresentation:
         ("gens: x\nrel r = x ^2\n", 2, "malformed word token '^2'"),
         ("gens: x\nrel r = x 1^2\n", 2, "malformed word token '1^2'"),
         ("gens: x\nrel r = y\n", 2, "unknown generator"),
+        ("gens: x\nrel r = x^2000000\n", 2,
+         "word 'x^2000000' expands to more than 1048576 letters"),
         ("gens: x\nrel r = 1\n", 2, "is empty"),
         ("gens: x\nrel r = x^0\n", 2, "is empty"),
         ("gens: x\nrel r = x x^-1 x\n", 2, "not freely reduced"),

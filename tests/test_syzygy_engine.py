@@ -455,6 +455,53 @@ class TestVerifyAndSerialize:
                                  r"but is not a candidate"):
             import_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("n, field, key, value, message", [
+        ("4", "boundary", "b4_9", {}, "symbol b4_9 has a boundary entry but "
+                                      "is not a kept symbol"),
+        ("3", "crossed", "b3_9", "1", "symbol b3_9 has a crossed entry but "
+                                      "is not a level-3 kept symbol"),
+        ("3", "candidates_crossed", "x zz", "1",
+         "tag (x, zz) has a candidates_crossed entry but is not a level-3 "
+         "candidate"),
+        ("4", "crossed", "b4_1", "1", "symbol b4_1 has a crossed entry but "
+                                      "is not a level-3 kept symbol"),
+        ("4", "boundary", "b4_1", None, "symbol b4_1 is a kept symbol with "
+                                        "no boundary entry"),
+    ], ids=["boundary-not-kept", "crossed-not-kept", "crossed-not-candidate",
+            "crossed-above-level-3", "boundary-missing"])
+    def test_import_keys_each_field_by_its_level(self, s3_state, n, field,
+                                                 key, value, message):
+        """xi, candidates_crossed, boundary and crossed hold exactly the
+        keys their level defines, the crossed fields at level 3 only.  An
+        extra key was dropped without a word before this rule: the text
+        imported, verified, and re-exported to the original bytes."""
+        doc = json.loads(export_json(s3_state))
+        entries = doc["levels"][n].setdefault(field, {})
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value
+        with pytest.raises(ValueError,
+                           match=f"^level {n}: {re.escape(message)}$"):
+            import_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("n, sym", [("3", "r"), ("4", "b4_99")])
+    def test_import_rejects_an_xi_value_outside_the_basis(self, s3_state, n,
+                                                          sym):
+        """An xi value on a symbol that is not kept at its level (a
+        relator at level 3, an unknown symbol at level 4) is refused,
+        naming the level and the tag; the text could not be replayed."""
+        doc = json.loads(export_json(s3_state))
+        xi = doc["levels"][n]["xi"]
+        key = sorted(xi)[-1]
+        xi[key] = {sym: {"1": "1"}}
+        head, name = key.rsplit(" ", 1)
+        with pytest.raises(ValueError,
+                           match=rf"^level {n}: the xi value of tag "
+                                 rf"\({re.escape(head)}, {name}\) uses {sym}, "
+                                 rf"which is not a kept symbol$"):
+            import_json(json.dumps(doc))
+
     def test_import_rejects_two_xi_keys_for_one_tag(self):
         """x^4 = 1 in C4, so "x^4 b3_1" spells the tag of "1 b3_1"."""
         doc = self._c4_l4_doc()
@@ -594,7 +641,8 @@ class TestVerifyAndSerialize:
         assert doc["levels"]["3"]["basis"] == []
         del doc["levels"]["3"]["candidates_crossed"]
         with pytest.raises(ValueError,
-                           match=r"level 3: candidate \(1, r\) has no crossed form"):
+                           match=r"level 3: tag \(1, r\) is a level-3 candidate "
+                                 r"with no candidates_crossed entry"):
             import_json(json.dumps(doc))
 
     def test_import_rejects_an_h1_entry_on_a_tree_arrow(self, s3_state):
@@ -1267,8 +1315,33 @@ def test_verify_refuses_an_injected_candidate_fault(data):
     n = data.draw(st.sampled_from(sorted(state.levels)))
     i, cand = _faulty_candidate(data, state, n)
     state.levels[n].candidates[i] = cand
-    assert not syzygy_engine._homotopy_premises(state)
+    assert not syzygy_engine._recomputed(state, n)
     assert verify_state(state, samples=2) == _reference_verify(state, samples=2)
+
+
+@pytest.mark.parametrize("n, fault", [(3, "r"), (4, "b4_99"), (3, None),
+                                      (4, None)])
+def test_verify_fails_the_row_of_an_xi_it_cannot_replay(s3_state, n, fault):
+    """An xi value on a symbol that has no boundary at its level (a
+    relator at level 3, an unknown symbol at level 4), or a deleted xi
+    entry (None), edited into a Level directly, fails the retraction row
+    of its tag; the replay and the sampled `retr5` lookups do not raise,
+    and the level above is not recomputed from the faulty one."""
+    state = import_json(export_json(s3_state))
+    level = state.levels[n]
+    tag = level.candidates[-1].tag
+    if fault is None:
+        del level.xi[tag]
+    else:
+        level.xi[tag] = unit(fault)
+    text = syzygy_engine._tag_text(state.graph, tag)
+    ok, rows = verify_state(state, samples=50)
+    assert not ok
+    failed = [r for r in rows if not r[3]]
+    assert ("retr32" if n == 3 else "retr4", n, text, False,
+            "delta(xi) != candidate form") in failed
+    assert {(r[0], r[2]) for r in failed} <= {
+        ("retr32" if n == 3 else "retr4", text), ("retr5", text)}
 
 
 def test_missing_level_is_a_failed_row():
@@ -1299,6 +1372,26 @@ def test_codomain_without_a_used_symbol_is_a_failed_row(s3_state, n):
     assert [r for r in rows if not r[3]] == [
         ("exactness", n - 1, f"image(delta{n}) vs kernel(delta{n - 1})", False,
          "codomain is not the basis of the level below")]
+
+
+def test_boundary_on_a_symbol_the_level_below_lacks_is_a_failed_row(s3_state):
+    """A level-4 kept candidate whose form, and so its stored boundary,
+    also uses a symbol `zz` that level 3 does not keep imports.  Level
+    3's table has no translates for `zz`, so that boundary's dd row fails
+    instead of raising, and the exactness row names the fault (the
+    certificates that use the changed boundary fail their rows too)."""
+    doc = json.loads(export_json(s3_state))
+    level = doc["levels"]["4"]
+    sym, tag = level["basis"][0]["symbol"], level["basis"][0]["tag"]
+    for module in [c["form"] for c in level["candidates"] if c["tag"] == tag] \
+            + [level["boundary"][sym]]:
+        module["zz"] = {"1": "1"}
+    ok, rows = verify_state(import_json(json.dumps(doc)), samples=2)
+    assert not ok
+    failed = [(r[0], r[1], r[2], r[4]) for r in rows if not r[3]]
+    assert ("dd", 4, sym, "delta(delta(sym)) != 0") in failed
+    assert failed[-1] == ("exactness", 3, "image(delta4) vs kernel(delta3)",
+                          "a boundary uses a symbol outside the codomain")
 
 
 def test_boundary_outside_a_matching_codomain_is_a_failed_row(s3_state):

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from crossres import words
 from crossres.words import (EMPTY, GroupRingElt, Word, ZERO_ZG, fox_derivative,
                             parse_word, read_int, reduce,
                             validate_generator_name, word)
@@ -55,6 +57,25 @@ def test_parse_word_grammar():
     # round trip through render
     w = parse_word("x^2 y^-1 x")
     assert parse_word(w.render()) == w
+
+
+def test_parse_word_refuses_a_word_longer_than_the_bound(monkeypatch):
+    """The letters are counted from the powers before any is built, so a
+    power of two million is refused without the allocation; the count is
+    of the word as written, before free reduction."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                "word 'x^2000000' expands to more than 1048576 letters")):
+            parse_word("x^2000000")
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 4)
+    assert len(parse_word("x^2 y^-2")) == 4
+    for text in ("x^2 y^-3", "x^3 x^-2", "x y x y x"):
+        with pytest.raises(ValueError, match="expands to more than 4 letters"):
+            parse_word(text)
 
 
 def test_read_int():

@@ -420,6 +420,8 @@ def _table_case(draw):
     images = ["a", "b", "c"] + (["e"] if draw(st.booleans()) else [])
     mapping = {b: draw(_module_over(images, n)) for b in ("u", "v", "w")}
     m = draw(st.one_of(st.just(ModuleElt()), _module_over(["u", "v", "w"], n)))
+    if draw(st.booleans()):  # "z" has no translates
+        m = m + ModuleElt({"z": GroupRingElt({draw(st.integers(0, n - 1)): 1})})
     minus = draw(_module_over(["a", "b", "d", "e", "f"], n))
     return graph, mapping, m, minus
 
@@ -429,8 +431,9 @@ def _table_case(draw):
 def test_translate_table_matches_apply_map(case):
     """Pushing an element through the table gives the expansion of its
     apply_map image; with `minus`, that minus the expansion of `minus`,
-    or None when `minus` has a symbol outside the table's columns.  The
-    dense rows are the expanded translates of each image."""
+    or None when `minus` has a symbol outside the table's columns.  When
+    m has a symbol with no translates, both are None.  The dense rows are
+    the expanded translates of each image."""
     graph, mapping, m, minus = case
     codomain = ["a", "b", "c", "d"]
     table = TranslateTable(graph, codomain, mapping)
@@ -438,13 +441,16 @@ def test_translate_table_matches_apply_map(case):
     assert table.extra == sorted(used - set(codomain))
     columns = codomain + table.extra
     assert table.width == len(columns) * graph.order
-    want = expand(graph, columns, apply_map(graph, mapping, m))
-    assert table.image(m) == want
-    if set(minus.coords) <= set(columns):
-        assert table.image(m, minus) == [
-            a - b for a, b in zip(want, expand(graph, columns, minus))]
+    if not set(m.coords) <= set(mapping):
+        assert table.image(m) is table.image(m, minus) is None
     else:
-        assert table.image(m, minus) is None
+        want = expand(graph, columns, apply_map(graph, mapping, m))
+        assert table.image(m) == want
+        if set(minus.coords) <= set(columns):
+            assert table.image(m, minus) == [
+                a - b for a, b in zip(want, expand(graph, columns, minus))]
+        else:
+            assert table.image(m, minus) is None
     assert table.rows(["w", "u"]) == [
         expand(graph, columns, mapping[b].translated(graph, g))
         for b in ("w", "u") for g in range(graph.order)]
